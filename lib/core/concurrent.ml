@@ -540,17 +540,27 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       g.comb_nodes
   in
   Array.iter (fun pid -> ignore (record_of pid)) g.ff_procs;
-  (* ---- per-node fault set collection ---- *)
+  (* ---- per-node fault set collection ----
+     A node round collects from its reads and read memories first, then
+     ([end_inputs]) from its write targets and sited faults. [stamp.(f)]
+     records the phase that first collected [f]: [!gen] for the inputs,
+     [!gen + 1] after. A live fault's diff entry always differs from the
+     good value ([set_diff] and [write_good] keep it so), so "collected from
+     the inputs" is exactly "has a visible input diff" — the explicit-
+     redundancy test — and costs nothing beyond the collection itself. *)
   let stamp = Array.make nfaults 0 in
   let gen = ref 0 in
+  let tag = ref 0 in
   let fset = Ivec.create () in
   let begin_set () =
-    incr gen;
+    gen := !gen + 2;
+    tag := !gen;
     Ivec.clear fset
   in
+  let end_inputs () = tag := !gen + 1 in
   let add_fault f =
-    if live.(f) && stamp.(f) <> !gen then begin
-      stamp.(f) <- !gen;
+    if live.(f) && stamp.(f) < !gen then begin
+      stamp.(f) <- !tag;
       Ivec.push fset f
     end
   in
@@ -572,13 +582,23 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       add_fault f
     done
   in
-  (* ---- Algorithm 1: the implicit-redundancy walk ---- *)
-  let input_diff f reads read_mems =
-    Array.exists (visible f) reads || Array.exists (mem_visible f) read_mems
-  in
   (* ---- lane candidate masks + identical-overlay execution sharing ---- *)
   let lane_cand = ba_masks ngroups in
   let lane_begin () = Bigarray.Array1.fill lane_cand 0L in
+  (* [from_inputs f]: this node round collected [f] from its reads or read
+     memories, i.e. [f] has a visible input diff. The lane path answers
+     from the candidate masks snapshotted before the write targets are
+     OR-ed in. *)
+  let lane_in = ba_masks ngroups in
+  let lane_end_inputs () = Bigarray.Array1.blit lane_cand lane_in in
+  let from_inputs f =
+    if lanes_on then
+      Int64.logand
+        (Bigarray.Array1.unsafe_get lane_in (Lanes.group f))
+        (Lanes.bit f)
+      <> 0L
+    else stamp.(f) = !gen
+  in
   let lane_or_sig id =
     let tbl = diffs.(id) in
     if Diffstore.length tbl > 0 then Diffstore.lane_or_into tbl lane_cand
@@ -939,7 +959,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           let executed = ref 0 and implicit = ref 0 and expl = ref 0 in
           let do_fault ~dedup f =
             cur_fault := f;
-            let idiff = input_diff f p.reads p.read_mems in
+            let idiff = from_inputs f in
             let must_exec =
               match config.mode with
               | No_redundancy -> true
@@ -1007,6 +1027,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             | No_redundancy | Explicit_only | Full ->
                 Array.iter lane_or_sig p.reads;
                 Array.iter lane_or_mem p.read_mems;
+                lane_end_inputs ();
                 Array.iter lane_or_sig p.writes;
                 lane_or_masks lane_site_cand.(pos));
             let packing = config.mode <> No_redundancy in
@@ -1023,6 +1044,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             | No_redundancy | Explicit_only | Full ->
                 Array.iter add_sig_faults p.reads;
                 Array.iter add_mem_faults p.read_mems;
+                end_inputs ();
                 Array.iter add_sig_faults p.writes);
             (* Faults sited on a blocking-write target must always execute:
                forcing the bit at an intermediate write can steer a later
@@ -1062,6 +1084,26 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
     Array.init nclk (fun _ -> Diffstore.create ~expect:nfaults ())
   in
   let good_fired = Array.make nproc false in
+  (* Per-round edge-phase state, allocated once per run. The good writes
+     of a process are overwritten whenever it fires and read only in a
+     round where it fired. The (pid, fault) pairs that executed their own
+     copy ([pair_stamp] at [pid * nfaults + f], keys listed in [executed])
+     and the faults whose memory commit needs replaying ([involved]) are
+     reset by bumping [round]. *)
+  let good_writes_of = Array.make nproc [] in
+  let good_mem_writes_of = Array.make nproc [] in
+  let round = ref 0 in
+  let pair_stamp = Array.make (nproc * nfaults) 0 in
+  let executed = Ivec.create () in
+  let involved_stamp = Array.make nfaults 0 in
+  let involved = Ivec.create () in
+  let execute_pair pid f =
+    let k = (pid * nfaults) + f in
+    if pair_stamp.(k) <> !round then begin
+      pair_stamp.(k) <- !round;
+      Ivec.push executed k
+    end
+  in
   (* ---- the edge-triggered phase of one time slot ---- *)
   let step () =
     settle ();
@@ -1117,22 +1159,22 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
       let fired = List.sort compare !fired_list in
       if fired = [] && !solo = [] then continue := false
       else begin
-        let good_writes_of = Hashtbl.create 8 in
-        let good_mem_writes_of = Hashtbl.create 8 in
+        incr round;
+        Ivec.clear executed;
+        Ivec.clear involved;
         fault_nba := [];
         fault_nba_mem := [];
         let preserved = ref [] in
         let preserved_mem = ref [] in
         let recon = ref [] in
-        let executed_pairs = Hashtbl.create 16 in
         let preserve_for pid f =
           List.iter
             (fun (id, _) -> preserved := (f, id, fault_value f id) :: !preserved)
-            (try Hashtbl.find good_writes_of pid with Not_found -> []);
+            good_writes_of.(pid);
           List.iter
             (fun (m, a, _) ->
               preserved_mem := (f, m, a, fault_mem_value f m a) :: !preserved_mem)
-            (try Hashtbl.find good_mem_writes_of pid with Not_found -> [])
+            good_mem_writes_of.(pid)
         in
         bn_begin ();
         List.iter
@@ -1145,8 +1187,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                   Goodtrace.take_ff_proc cur ~pid
                     ~set_choice:(restore_choices pid)
                 in
-                Hashtbl.replace good_writes_of pid ws;
-                Hashtbl.replace good_mem_writes_of pid mws
+                good_writes_of.(pid) <- ws;
+                good_mem_writes_of.(pid) <- mws
             | Gcap _ | Gcold ->
                 cur_good_writes := [];
                 cur_good_mem_writes := [];
@@ -1165,8 +1207,8 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                     Goodtrace.rec_ff_proc b ~pid ~writes:ws ~mem_writes:mws
                       ~choices:(choices_of pid)
                 | _ -> ());
-                Hashtbl.replace good_writes_of pid ws;
-                Hashtbl.replace good_mem_writes_of pid mws);
+                good_writes_of.(pid) <- ws;
+                good_mem_writes_of.(pid) <- mws);
             let reads = g.proc_reads.(pid) in
             let read_mems = g.proc_read_mems.(pid) in
             let suppressed_here =
@@ -1180,7 +1222,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             let do_fault ~dedup f =
               if not (is_suppressed f) then begin
                 cur_fault := f;
-                let idiff = input_diff f reads read_mems in
+                let idiff = from_inputs f in
                 let must_exec =
                   match config.mode with
                   | No_redundancy -> true
@@ -1198,7 +1240,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 if must_exec then begin
                   incr executed;
                   per_proc_exec.(pid) <- per_proc_exec.(pid) + 1;
-                  Hashtbl.replace executed_pairs (pid, f) ();
+                  execute_pair pid f;
                   preserve_for pid f;
                   let shared =
                     dedup
@@ -1266,6 +1308,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               | Explicit_only | Full ->
                   Array.iter lane_or_sig reads;
                   Array.iter lane_or_mem read_mems;
+                  lane_end_inputs ();
                   Array.iter lane_or_sig g.proc_nb_writes.(pid);
                   Array.iter lane_or_mem g.proc_write_mems.(pid));
               let packing = config.mode <> No_redundancy in
@@ -1281,6 +1324,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               | Explicit_only | Full ->
                   Array.iter add_sig_faults reads;
                   Array.iter add_mem_faults read_mems;
+                  end_inputs ();
                   Array.iter add_sig_faults g.proc_nb_writes.(pid);
                   Array.iter add_mem_faults g.proc_write_mems.(pid));
               Ivec.iter (fun f -> do_fault ~dedup:false f) fset
@@ -1308,7 +1352,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               cur_pid := pid;
               stats.Stats.bn_fault_exec <- stats.Stats.bn_fault_exec + 1;
               per_proc_exec.(pid) <- per_proc_exec.(pid) + 1;
-              Hashtbl.replace executed_pairs (pid, f) ();
+              execute_pair pid f;
               Compile.exec_i (get_cp pid) fault_reader ff_fault_writer
             end)
           !solo;
@@ -1316,12 +1360,10 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         (* ---- commit ---- *)
         List.iter
           (fun pid ->
-            List.iter
-              (fun (id, v) -> write_good id v)
-              (Hashtbl.find good_writes_of pid);
+            List.iter (fun (id, v) -> write_good id v) good_writes_of.(pid);
             List.iter
               (fun (m, a, v) -> write_good_mem m a v)
-              (Hashtbl.find good_mem_writes_of pid))
+              good_mem_writes_of.(pid))
           fired;
         List.iter (fun (f, id, v) -> if live.(f) then set_diff id f v)
           (List.rev !preserved);
@@ -1333,7 +1375,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
             if live.(f) then
               List.iter
                 (fun (id, v) -> set_diff id f (force_if_site f id v))
-                (Hashtbl.find good_writes_of pid))
+                good_writes_of.(pid))
           !recon;
         List.iter
           (fun (f, id, v) ->
@@ -1355,12 +1397,16 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
               | Some l -> l := (m, a, v) :: !l)
           (List.rev !fault_nba_mem);
         let any_good_mem_write =
-          List.exists (fun pid -> Hashtbl.find good_mem_writes_of pid <> []) fired
+          List.exists (fun pid -> good_mem_writes_of.(pid) <> []) fired
         in
-        let involved = Hashtbl.create 16 in
-        let involve f = if live.(f) then Hashtbl.replace involved f () in
+        let involve f =
+          if live.(f) && involved_stamp.(f) <> !round then begin
+            involved_stamp.(f) <- !round;
+            Ivec.push involved f
+          end
+        in
         if any_good_mem_write || Hashtbl.length fault_mem_writes > 0 then begin
-          Hashtbl.iter (fun (_, f) () -> involve f) executed_pairs;
+          Ivec.iter (fun k -> involve (k mod nfaults)) executed;
           List.iter (fun (_, f) -> involve f) !suppress;
           List.iter (fun (_, f) -> involve f) !recon
         end;
@@ -1373,13 +1419,17 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
         let is_suppressed_at pid f =
           List.exists (fun (p, sf) -> p = pid && sf = f) !suppress
         in
-        Hashtbl.iter
-          (fun f () ->
-            let pids = List.sort_uniq compare (fired @ solo_pids_of f) in
+        Ivec.iter
+          (fun f ->
+            let pids =
+              match solo_pids_of f with
+              | [] -> fired
+              | solo_pids -> List.sort_uniq compare (fired @ solo_pids)
+            in
             List.iter
               (fun pid ->
                 if is_suppressed_at pid f then ()
-                else if Hashtbl.mem executed_pairs (pid, f) then
+                else if pair_stamp.((pid * nfaults) + f) = !round then
                   match Hashtbl.find_opt fault_mem_writes (pid, f) with
                   | Some l ->
                       List.iter
@@ -1389,7 +1439,7 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
                 else if good_fired.(pid) then
                   List.iter
                     (fun (m, a, v) -> set_mem_diff m f a v)
-                    (Hashtbl.find good_mem_writes_of pid))
+                    good_mem_writes_of.(pid))
               pids)
           involved;
         settle ()
@@ -1586,14 +1636,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
           pr_expl = per_proc_expl.(pid);
         })
       d.procs;
-  (match Sys.getenv_opt "ERASER_PROC_STATS" with
-  | Some _ ->
-      Array.iter
-        (fun (r : Stats.proc_row) ->
-          Format.eprintf "proc %-16s exec=%d impl=%d expl=%d@." r.pr_name
-            r.pr_exec r.pr_impl r.pr_expl)
-        stats.Stats.per_proc
-  | None -> ());
   (* debug knob: simulate an engine bug by flipping one verdict, so the
      online divergence check of the resilient runner can be exercised *)
   (match config.corrupt_verdict with

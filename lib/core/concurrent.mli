@@ -81,9 +81,8 @@ type instance
 val instance : Elaborate.t -> instance
 
 (** Run a fault-simulation campaign. The result's detected set matches the
-    serial per-fault oracle for any mode. Setting the environment variable
-    [ERASER_PROC_STATS] prints per-process executed/implicit counters to
-    stderr at the end of the run (a profiling aid).
+    serial per-fault oracle for any mode. Per-process executed and skipped
+    counters are in the result's [Stats.per_proc].
 
     [?goodtrace] warm-starts the run from a captured good trace (see
     {!capture}): the good network is not re-simulated — its recorded

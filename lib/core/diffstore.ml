@@ -1,9 +1,8 @@
 type i64a = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type masks = i64a
 
-(* Slot states in [keys]: -1 empty, -2 tombstone, otherwise the key. *)
+(* Slot states in [keys]: -1 empty, otherwise the key. *)
 let empty_slot = -1
-let tombstone = -2
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
@@ -24,7 +23,6 @@ type t = {
   mutable vals : i64a;
   mutable mask : int;  (* capacity - 1 *)
   mutable count : int;  (* live entries *)
-  mutable used : int;  (* live + tombstones *)
   base_cap : int;  (* capacity_for the creation-time expectation *)
   lanes : i64a;  (* per lane group: bit [key land 63] set iff key present *)
 }
@@ -41,7 +39,6 @@ let create ?(lane_groups = 0) ~expect () =
     vals = make_vals cap;
     mask = cap - 1;
     count = 0;
-    used = 0;
     base_cap = cap;
     lanes = make_vals (max lane_groups 1);
   }
@@ -123,205 +120,100 @@ let rehash t cap =
   done;
   t.keys <- keys;
   t.vals <- vals;
-  t.mask <- mask;
-  t.used <- t.count
+  t.mask <- mask
 
 let set t key v =
   if key < 0 then invalid_arg "Diffstore.set: negative key";
   let keys = t.keys and mask = t.mask in
-  (* First pass: replace in place, or remember the first reusable slot. *)
-  let rec probe i reuse =
+  let rec probe i =
     let k = Array.unsafe_get keys i in
     if k = key then Bigarray.Array1.unsafe_set t.vals i v
     else if k = empty_slot then begin
-      let target = if reuse >= 0 then reuse else i in
-      Array.unsafe_set keys target key;
-      Bigarray.Array1.unsafe_set t.vals target v;
+      Array.unsafe_set keys i key;
+      Bigarray.Array1.unsafe_set t.vals i v;
       t.count <- t.count + 1;
       lane_add t key;
-      if target = i then begin
-        t.used <- t.used + 1;
-        if 2 * t.used > mask then rehash t (2 * (mask + 1))
-      end
+      if 2 * t.count > mask + 1 then rehash t (2 * (mask + 1))
     end
-    else if k = tombstone then
-      probe ((i + 1) land mask) (if reuse >= 0 then reuse else i)
-    else probe ((i + 1) land mask) reuse
+    else probe ((i + 1) land mask)
   in
-  probe (hash key land mask) (-1)
+  probe (hash key land mask)
+
+(* Backward-shift deletion: empty slot [hole], then walk the probe run
+   after it and move back every entry whose home slot does not lie
+   (cyclically) strictly between the hole and the entry, so every key stays
+   reachable from its home without a tombstone. *)
+let remove_slot t hole key =
+  let keys = t.keys and vals = t.vals and mask = t.mask in
+  let rec shift hole j =
+    let j = (j + 1) land mask in
+    let k = Array.unsafe_get keys j in
+    if k = empty_slot then Array.unsafe_set keys hole empty_slot
+    else if (j - (hash k land mask)) land mask >= (j - hole) land mask then begin
+      Array.unsafe_set keys hole k;
+      Bigarray.Array1.unsafe_set vals hole (Bigarray.Array1.unsafe_get vals j);
+      shift j j
+    end
+    else shift hole j
+  in
+  shift hole hole;
+  t.count <- t.count - 1;
+  lane_del t key
 
 let remove t key =
   let i = find_slot t key in
-  if i >= 0 then begin
-    t.keys.(i) <- tombstone;
-    t.count <- t.count - 1;
-    lane_del t key
-  end
+  if i >= 0 then remove_slot t i key
 
 let clear t =
   if Array.length t.keys > shrink_factor * t.base_cap then begin
     t.keys <- Array.make t.base_cap empty_slot;
     t.vals <- make_vals t.base_cap;
-    t.mask <- t.base_cap - 1
+    t.mask <- t.base_cap - 1;
+    Bigarray.Array1.fill t.lanes 0L
   end
-  else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-  t.count <- 0;
-  t.used <- 0;
-  Bigarray.Array1.fill t.lanes 0L
+  else if t.count > 0 then begin
+    Array.fill t.keys 0 (Array.length t.keys) empty_slot;
+    Bigarray.Array1.fill t.lanes 0L
+  end;
+  t.count <- 0
 
 let iter t f =
-  let keys = t.keys in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k >= 0 then f k (Bigarray.Array1.unsafe_get t.vals i)
-  done
+  if t.count > 0 then begin
+    let keys = t.keys in
+    for i = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys i in
+      if k >= 0 then f k (Bigarray.Array1.unsafe_get t.vals i)
+    done
+  end
 
 let iter_keys t f =
-  let keys = t.keys in
-  for i = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys i in
-    if k >= 0 then f k
-  done
-
-module Counts = struct
-  type t = {
-    mutable keys : int array;
-    mutable cnts : int array;
-    mutable mask : int;
-    mutable count : int;
-    mutable used : int;
-    base_cap : int;
-    lanes : i64a;
-  }
-
-  let create ?(lane_groups = 0) ~expect () =
-    let cap = capacity_for expect in
-    {
-      keys = Array.make cap empty_slot;
-      cnts = Array.make cap 0;
-      mask = cap - 1;
-      count = 0;
-      used = 0;
-      base_cap = cap;
-      lanes = make_vals (max lane_groups 1);
-    }
-
-  let lane_mask t g =
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_get t.lanes g
-    else 0L
-
-  let lane_or_into t (dst : masks) =
-    let src = t.lanes in
-    let n = min (Bigarray.Array1.dim src) (Bigarray.Array1.dim dst) in
-    for g = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set dst g
-        (Int64.logor
-           (Bigarray.Array1.unsafe_get dst g)
-           (Bigarray.Array1.unsafe_get src g))
-    done
-
-  let[@inline] lane_add t key =
-    let g = key lsr 6 in
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_set t.lanes g
-        (Int64.logor
-           (Bigarray.Array1.unsafe_get t.lanes g)
-           (Int64.shift_left 1L (key land 63)))
-
-  let[@inline] lane_del t key =
-    let g = key lsr 6 in
-    if g < Bigarray.Array1.dim t.lanes then
-      Bigarray.Array1.unsafe_set t.lanes g
-        (Int64.logand
-           (Bigarray.Array1.unsafe_get t.lanes g)
-           (Int64.lognot (Int64.shift_left 1L (key land 63))))
-
-  let length t = t.count
-
-  let find_slot t key =
-    let keys = t.keys and mask = t.mask in
-    let rec probe i =
-      let k = Array.unsafe_get keys i in
-      if k = key then i
-      else if k = empty_slot then -1
-      else probe ((i + 1) land mask)
-    in
-    probe (hash key land mask)
-
-  let mem t key = find_slot t key >= 0
-
-  let rehash t cap =
-    let okeys = t.keys and ocnts = t.cnts in
-    let keys = Array.make cap empty_slot in
-    let cnts = Array.make cap 0 in
-    let mask = cap - 1 in
-    for i = 0 to Array.length okeys - 1 do
-      let k = Array.unsafe_get okeys i in
-      if k >= 0 then begin
-        let rec probe j =
-          if Array.unsafe_get keys j = empty_slot then begin
-            Array.unsafe_set keys j k;
-            Array.unsafe_set cnts j (Array.unsafe_get ocnts i)
-          end
-          else probe ((j + 1) land mask)
-        in
-        probe (hash k land mask)
-      end
-    done;
-    t.keys <- keys;
-    t.cnts <- cnts;
-    t.mask <- mask;
-    t.used <- t.count
-
-  let bump t key delta =
-    if key < 0 then invalid_arg "Diffstore.Counts.bump: negative key";
-    let keys = t.keys and mask = t.mask in
-    let rec probe i reuse =
-      let k = Array.unsafe_get keys i in
-      if k = key then begin
-        let c = t.cnts.(i) + delta in
-        if c <= 0 then begin
-          keys.(i) <- tombstone;
-          t.count <- t.count - 1;
-          lane_del t key
-        end
-        else t.cnts.(i) <- c
-      end
-      else if k = empty_slot then begin
-        if delta > 0 then begin
-          let target = if reuse >= 0 then reuse else i in
-          Array.unsafe_set keys target key;
-          Array.unsafe_set t.cnts target delta;
-          t.count <- t.count + 1;
-          lane_add t key;
-          if target = i then begin
-            t.used <- t.used + 1;
-            if 2 * t.used > mask then rehash t (2 * (mask + 1))
-          end
-        end
-      end
-      else if k = tombstone then
-        probe ((i + 1) land mask) (if reuse >= 0 then reuse else i)
-      else probe ((i + 1) land mask) reuse
-    in
-    probe (hash key land mask) (-1)
-
-  let iter_keys t f =
+  if t.count > 0 then begin
     let keys = t.keys in
     for i = 0 to Array.length keys - 1 do
       let k = Array.unsafe_get keys i in
       if k >= 0 then f k
     done
+  end
 
-  let clear t =
-    if Array.length t.keys > shrink_factor * t.base_cap then begin
-      t.keys <- Array.make t.base_cap empty_slot;
-      t.cnts <- Array.make t.base_cap 0;
-      t.mask <- t.base_cap - 1
+module Counts = struct
+  type nonrec t = t
+
+  let create = create
+  let length = length
+  let mem = mem
+  let capacity = capacity
+  let lane_mask = lane_mask
+  let lane_or_into = lane_or_into
+  let iter_keys = iter_keys
+  let clear = clear
+
+  let bump t key delta =
+    if key < 0 then invalid_arg "Diffstore.Counts.bump: negative key";
+    let i = find_slot t key in
+    if i >= 0 then begin
+      let c = Int64.to_int (Bigarray.Array1.unsafe_get t.vals i) + delta in
+      if c <= 0 then remove_slot t i key
+      else Bigarray.Array1.unsafe_set t.vals i (Int64.of_int c)
     end
-    else Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-    t.count <- 0;
-    t.used <- 0;
-    Bigarray.Array1.fill t.lanes 0L
+    else if delta > 0 then set t key (Int64.of_int delta)
 end

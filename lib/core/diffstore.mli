@@ -10,10 +10,20 @@
     inlined integer mix, and are sized from the configured fault-batch
     width instead of magic constants.
 
+    Deletion shifts the rest of the entry's probe run back (backward-shift
+    deletion), so there are no tombstones: a table's capacity depends only
+    on how many entries it has held at once, never on how many keys passed
+    through it, and it doubles only when twice its live count exceeds its
+    capacity.
+
+    Iteration and [clear] return at once on an empty table; otherwise they
+    cost one pass over the slot array (capacity, not live entries), which
+    stays small because churn no longer grows it.
+
     Iteration visits entries in slot order — deterministic for a given
-    insertion history. Engine reports do not depend on this order (every
-    entry is keyed by an independent fault), but determinism keeps runs
-    reproducible.
+    insertion and deletion history. Engine reports do not depend on this
+    order (every entry is keyed by an independent fault), but determinism
+    keeps runs reproducible.
 
     Keys must be non-negative (fault ids and word keys are). *)
 
@@ -35,7 +45,8 @@ val length : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
 
-(** Current slot-array capacity (exposed for the shrink-on-clear test). *)
+(** Current slot-array capacity (exposed for the shrink-on-clear and churn
+    tests). *)
 val capacity : t -> int
 
 (** Number of lane groups this table tracks (0 when tracking is off). *)
@@ -70,16 +81,18 @@ val iter : t -> (int -> int64 -> unit) -> unit
 
 val iter_keys : t -> (int -> unit) -> unit
 
-(** Open-addressing int -> int refcount table ([bump] removes entries that
-    drop to zero) — the [mem_fault_words] "does fault [f] diverge anywhere
-    in this memory" index. Supports the same optional lane-mask tracking
-    and shrink-on-clear policy as the payload table. *)
+(** Int -> int refcount table ([bump] removes entries that drop to zero) —
+    the [mem_fault_words] "does fault [f] diverge anywhere in this memory"
+    index. It is the payload table above with the count stored as the
+    payload, so it shares its lane-mask tracking, growth and
+    shrink-on-clear policy. *)
 module Counts : sig
   type t
 
   val create : ?lane_groups:int -> expect:int -> unit -> t
   val length : t -> int
   val mem : t -> int -> bool
+  val capacity : t -> int
   val lane_mask : t -> int -> int64
   val lane_or_into : t -> masks -> unit
   val bump : t -> int -> int -> unit

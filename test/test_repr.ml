@@ -280,6 +280,46 @@ let test_counts_model () =
     check int_t "cleared" 0 (Engine.Diffstore.Counts.length store)
   done
 
+(* Churn with a small live set must not grow the table: deletion leaves no
+   tombstones, so capacity tracks the live count, not the keys seen. *)
+let test_diffstore_churn () =
+  let rng = Random.State.make [| 0xc4; 12 |] in
+  let store = Engine.Diffstore.create ~expect:8 () in
+  let counts = Engine.Diffstore.Counts.create ~expect:8 () in
+  let base = Engine.Diffstore.capacity store in
+  let live = Queue.create () in
+  for i = 1 to 200_000 do
+    if
+      Queue.length live = 8
+      || (Queue.length live > 0 && Random.State.bool rng)
+    then begin
+      let key = Queue.pop live in
+      Engine.Diffstore.remove store key;
+      Engine.Diffstore.Counts.bump counts key (-1)
+    end
+    else begin
+      let key = Random.State.int rng 100_001 in
+      if not (Engine.Diffstore.mem store key) then begin
+        Engine.Diffstore.set store key (Int64.of_int i);
+        Engine.Diffstore.Counts.bump counts key 1;
+        Queue.push key live
+      end
+    end
+  done;
+  check int_t "live entries" (Queue.length live) (Engine.Diffstore.length store);
+  check int_t "live counts" (Queue.length live)
+    (Engine.Diffstore.Counts.length counts);
+  Queue.iter
+    (fun key ->
+      check bool_t "survivor present" true (Engine.Diffstore.mem store key);
+      check bool_t "survivor counted" true
+        (Engine.Diffstore.Counts.mem counts key))
+    live;
+  check int_t "diff store capacity stays at its base" base
+    (Engine.Diffstore.capacity store);
+  check int_t "counts capacity stays at its base" base
+    (Engine.Diffstore.Counts.capacity counts)
+
 (* clear releases a grown slot array back to the creation-time size, but
    only once the table has outgrown it by the documented factor (16) —
    moderate growth must keep its capacity across rounds. *)
@@ -337,6 +377,8 @@ let suite =
       test_diffstore_model;
     Alcotest.test_case "counts store matches refcount model" `Quick
       test_counts_model;
+    Alcotest.test_case "diff store and counts churn keeps base capacity"
+      `Quick test_diffstore_churn;
     Alcotest.test_case "diffstore clear shrinks a high-water slot array"
       `Quick test_diffstore_shrink_on_clear;
   ]
