@@ -46,15 +46,6 @@ type config = {
       (** debug knob: flip the verdict of this fault id after the run,
           simulating an engine bug. Used to exercise the resilient runner's
           online divergence quarantine; ids out of range are ignored. *)
-  lanes : bool;
-      (** lane-packed batching: group the batch into 64-wide lane groups
-          (fault id [f] = lane [f land 63] of group [f lsr 6]) and drive
-          each node's per-fault round from the diff stores' lane masks
-          instead of per-signal key iteration, with per-node lane validity
-          skip and identical-overlay execution sharing. Transients fall
-          back to the scalar path. Verdicts are bit-identical to scalar
-          mode; execution counters (not verdicts) may differ. Default
-          [false]. *)
 }
 
 val default_config : config

@@ -1,5 +1,4 @@
 type i64a = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type masks = i64a
 
 (* Slot states in [keys]: -1 empty, otherwise the key. *)
 let empty_slot = -1
@@ -24,7 +23,6 @@ type t = {
   mutable mask : int;  (* capacity - 1 *)
   mutable count : int;  (* live entries *)
   base_cap : int;  (* capacity_for the creation-time expectation *)
-  lanes : i64a;  (* per lane group: bit [key land 63] set iff key present *)
 }
 
 let make_vals cap =
@@ -32,7 +30,7 @@ let make_vals cap =
   Bigarray.Array1.fill a 0L;
   a
 
-let create ?(lane_groups = 0) ~expect () =
+let create ~expect () =
   let cap = capacity_for expect in
   {
     keys = Array.make cap empty_slot;
@@ -40,46 +38,9 @@ let create ?(lane_groups = 0) ~expect () =
     mask = cap - 1;
     count = 0;
     base_cap = cap;
-    lanes = make_vals (max lane_groups 1);
   }
 
 let capacity t = Array.length t.keys
-let lane_groups t = Bigarray.Array1.dim t.lanes
-
-let lane_mask t g =
-  if g < Bigarray.Array1.dim t.lanes then Bigarray.Array1.unsafe_get t.lanes g
-  else 0L
-
-(* The engine's per-round candidate collection ORs every read signal's
-   group masks into one accumulator; doing it here keeps the int64 traffic
-   unboxed (OCaml boxes every [int64 array] store, a Bigarray round-trip
-   does not). *)
-let lane_or_into t (dst : masks) =
-  let src = t.lanes in
-  let n = min (Bigarray.Array1.dim src) (Bigarray.Array1.dim dst) in
-  for g = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set dst g
-      (Int64.logor
-         (Bigarray.Array1.unsafe_get dst g)
-         (Bigarray.Array1.unsafe_get src g))
-  done
-
-let[@inline] lane_add t key =
-  let g = key lsr 6 in
-  if g < Bigarray.Array1.dim t.lanes then
-    Bigarray.Array1.unsafe_set t.lanes g
-      (Int64.logor
-         (Bigarray.Array1.unsafe_get t.lanes g)
-         (Int64.shift_left 1L (key land 63)))
-
-let[@inline] lane_del t key =
-  let g = key lsr 6 in
-  if g < Bigarray.Array1.dim t.lanes then
-    Bigarray.Array1.unsafe_set t.lanes g
-      (Int64.logand
-         (Bigarray.Array1.unsafe_get t.lanes g)
-         (Int64.lognot (Int64.shift_left 1L (key land 63))))
-
 let length t = t.count
 let is_empty t = t.count = 0
 
@@ -132,7 +93,6 @@ let set t key v =
       Array.unsafe_set keys i key;
       Bigarray.Array1.unsafe_set t.vals i v;
       t.count <- t.count + 1;
-      lane_add t key;
       if 2 * t.count > mask + 1 then rehash t (2 * (mask + 1))
     end
     else probe ((i + 1) land mask)
@@ -143,7 +103,7 @@ let set t key v =
    after it and move back every entry whose home slot does not lie
    (cyclically) strictly between the hole and the entry, so every key stays
    reachable from its home without a tombstone. *)
-let remove_slot t hole key =
+let remove_slot t hole =
   let keys = t.keys and vals = t.vals and mask = t.mask in
   let rec shift hole j =
     let j = (j + 1) land mask in
@@ -157,24 +117,20 @@ let remove_slot t hole key =
     else shift hole j
   in
   shift hole hole;
-  t.count <- t.count - 1;
-  lane_del t key
+  t.count <- t.count - 1
 
 let remove t key =
   let i = find_slot t key in
-  if i >= 0 then remove_slot t i key
+  if i >= 0 then remove_slot t i
 
 let clear t =
   if Array.length t.keys > shrink_factor * t.base_cap then begin
     t.keys <- Array.make t.base_cap empty_slot;
     t.vals <- make_vals t.base_cap;
-    t.mask <- t.base_cap - 1;
-    Bigarray.Array1.fill t.lanes 0L
+    t.mask <- t.base_cap - 1
   end
-  else if t.count > 0 then begin
+  else if t.count > 0 then
     Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-    Bigarray.Array1.fill t.lanes 0L
-  end;
   t.count <- 0
 
 let iter t f =
@@ -202,8 +158,6 @@ module Counts = struct
   let length = length
   let mem = mem
   let capacity = capacity
-  let lane_mask = lane_mask
-  let lane_or_into = lane_or_into
   let iter_keys = iter_keys
   let clear = clear
 
@@ -212,7 +166,7 @@ module Counts = struct
     let i = find_slot t key in
     if i >= 0 then begin
       let c = Int64.to_int (Bigarray.Array1.unsafe_get t.vals i) + delta in
-      if c <= 0 then remove_slot t i key
+      if c <= 0 then remove_slot t i
       else Bigarray.Array1.unsafe_set t.vals i (Int64.of_int c)
     end
     else if delta > 0 then set t key (Int64.of_int delta)

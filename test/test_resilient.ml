@@ -5,6 +5,7 @@
 open Faultsim
 module H = Harness
 module R = Harness.Resilient
+module J = Harness.Jsonl
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -263,6 +264,60 @@ let test_resume_adopts_warm_journal () =
     (resumed.R.batches_resumed + resumed.R.batches_executed);
   check bool_t "the resume re-captured the good trace" true
     (resumed.R.capture_bytes > 0)
+
+(* A journal written while the engine still had a lane-packed mode carries
+   ["lanes": true] in its header and four lane counters in each batch
+   record's stats. That mode never changed the batch decomposition or any
+   verdict, so the header reader drops the retired member: such a journal,
+   torn, still resumes (at another worker count) to a byte-identical
+   report. *)
+let test_retired_lane_journal_resumes () =
+  let design, g, w, faults = campaign "alu" in
+  let journal = temp_journal () in
+  let cfg =
+    { R.default_config with R.batch_size = 7; journal = Some journal }
+  in
+  let reference =
+    render_report ~design ~g ~faults (R.run ~config:cfg g w faults)
+  in
+  let lane_form i line =
+    match (i, J.parse line) with
+    | 0, J.Obj kvs -> J.to_string (J.Obj (kvs @ [ ("lanes", J.Bool true) ]))
+    | _, (J.Obj kvs as j)
+      when J.member "type" j = Some (J.String "batch")
+           && J.get_int "index" j = 0 ->
+        let stats = function
+          | "stats", J.Obj st ->
+              ( "stats",
+                J.Obj
+                  (st
+                  @ [
+                      ("lane_groups", J.Int 1);
+                      ("lane_occ_sum", J.Int 9);
+                      ("lane_occ_rounds", J.Int 4);
+                      ("scalar_fallbacks", J.Int 0);
+                    ]) )
+          | kv -> kv
+        in
+        J.to_string (J.Obj (List.map stats kvs))
+    | _ -> line
+  in
+  let lines = List.mapi lane_form (journal_lines journal) in
+  (match List.rev lines with
+  | last :: rest ->
+      write_file journal
+        (String.concat "\n" (List.rev rest)
+        ^ "\n"
+        ^ String.sub last 0 (String.length last / 2))
+  | [] -> Alcotest.fail "empty journal");
+  let resumed =
+    R.run ~config:{ cfg with R.resume = true; jobs = 2 } g w faults
+  in
+  Sys.remove journal;
+  check bool_t "some batches replayed" true (resumed.R.batches_resumed > 0);
+  Alcotest.(check string)
+    "resumed report byte-identical" reference
+    (render_report ~design ~g ~faults resumed)
 
 let test_resume_adopts_cold_journal () =
   (* the opposite direction: a cold journal resumed by an invocation that
@@ -643,6 +698,8 @@ let suite =
       test_resume_adopts_warm_journal;
     Alcotest.test_case "resume adopts a cold journal" `Quick
       test_resume_adopts_cold_journal;
+    Alcotest.test_case "retired lane-mode journal resumes" `Quick
+      test_retired_lane_journal_resumes;
     Alcotest.test_case "statically undetectable faults pruned" `Quick
       test_static_pruning;
     Alcotest.test_case "read_journal torn-tail unit" `Quick
