@@ -55,11 +55,8 @@ let resilience ~scale =
   Format.fprintf ppf "@.";
   H.Report.resilience ppf (H.Experiments.resilience ~scale)
 
-let scaling ~scale ~jobs ~out =
-  Format.fprintf ppf "@.";
-  let rows = H.Experiments.scaling ~jobs ~scale () in
-  H.Report.scaling ppf rows;
-  let json = H.Experiments.scaling_json ~scale rows in
+(* Write one experiment's JSON document atomically, as a single line. *)
+let write_json ~out json =
   let text = H.Jsonl.to_string json in
   (* self-check: the emitted document must parse back *)
   ignore (H.Jsonl.parse text);
@@ -68,44 +65,25 @@ let scaling ~scale ~jobs ~out =
       output_char oc '\n');
   Format.fprintf ppf "  json       %s@." out
 
+let scaling ~scale ~jobs ~out =
+  Format.fprintf ppf "@.";
+  let rows = H.Experiments.scaling ~jobs ~scale () in
+  H.Report.scaling ppf rows;
+  write_json ~out (H.Experiments.scaling_json ~scale rows)
+
 let warmstart ~scale ~jobs ~out =
   Format.fprintf ppf "@.";
   let jobs = match jobs with j :: _ -> j | [] -> 4 in
   let rows = H.Experiments.warmstart ~jobs ~scale () in
   H.Report.warmstart ppf rows;
-  let json = H.Experiments.warmstart_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
+  write_json ~out (H.Experiments.warmstart_json ~scale rows)
 
 let activation ~scale ~jobs ~out =
   Format.fprintf ppf "@.";
   let jobs = match jobs with j :: _ -> j | [] -> 4 in
   let rows = H.Experiments.activation ~jobs ~scale () in
   H.Report.activation ppf rows;
-  let json = H.Experiments.activation_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
-
-let schedule ~scale ~jobs ~out =
-  Format.fprintf ppf "@.";
-  let jobs = match jobs with j :: _ -> j | [] -> 4 in
-  let rows = H.Experiments.schedule ~jobs ~scale () in
-  H.Report.schedule ppf rows;
-  let json = H.Experiments.schedule_json ~scale rows in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
+  write_json ~out (H.Experiments.activation_json ~scale rows)
 
 (* --- representation experiment: boxed vs flat value representation --- *)
 
@@ -204,12 +182,7 @@ let repr_bench ~scale ~out =
                rows) );
       ]
   in
-  let text = H.Jsonl.to_string json in
-  ignore (H.Jsonl.parse text);
-  H.Resilient.write_atomic out (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Format.fprintf ppf "  json       %s@." out
+  write_json ~out json
 
 (* --- Bechamel micro-benchmarks --- *)
 
@@ -329,7 +302,6 @@ let () =
   let repr_out = ref "BENCH_repr.json" in
   let warmstart_out = ref "BENCH_warmstart.json" in
   let activation_out = ref "BENCH_activation.json" in
-  let schedule_out = ref "BENCH_schedule.json" in
   let cmds = ref [] in
   let rec parse i =
     if i < Array.length Sys.argv then
@@ -358,9 +330,6 @@ let () =
       | "--activation-out" ->
           activation_out := Sys.argv.(i + 1);
           parse (i + 2)
-      | "--schedule-out" ->
-          schedule_out := Sys.argv.(i + 1);
-          parse (i + 2)
       | cmd ->
           cmds := cmd :: !cmds;
           parse (i + 1)
@@ -369,10 +338,9 @@ let () =
    with _ ->
      prerr_endline
        "usage: main \
-        [tableN|figN|scaling|repr|warmstart|activation|schedule|micro] \
-        [--scale S] [--jobs 1,2,4] [--scaling-out FILE] [--repr-out FILE] \
-        [--warmstart-out FILE] [--activation-out FILE] [--schedule-out \
-        FILE]");
+        [tableN|figN|scaling|repr|warmstart|activation|micro] [--scale S] \
+        [--jobs 1,2,4] [--scaling-out FILE] [--repr-out FILE] \
+        [--warmstart-out FILE] [--activation-out FILE]");
   let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in
   let scale = !scale in
   Format.fprintf ppf "ERASER reproduction harness (scale %.2f)@.@." scale;
@@ -391,7 +359,6 @@ let () =
       | "repr" -> repr_bench ~scale ~out:!repr_out
       | "warmstart" -> warmstart ~scale ~jobs:!jobs ~out:!warmstart_out
       | "activation" -> activation ~scale ~jobs:!jobs ~out:!activation_out
-      | "schedule" -> schedule ~scale ~jobs:!jobs ~out:!schedule_out
       | "micro" -> micro ()
       | "all" ->
           table1 ();
@@ -406,7 +373,6 @@ let () =
           repr_bench ~scale ~out:!repr_out;
           warmstart ~scale ~jobs:!jobs ~out:!warmstart_out;
           activation ~scale ~jobs:!jobs ~out:!activation_out;
-          schedule ~scale ~jobs:!jobs ~out:!schedule_out;
           micro ()
       | other -> Format.fprintf ppf "unknown experiment %S@." other)
     cmds

@@ -67,13 +67,28 @@ let guard f =
       Format.eprintf "eraser: bad workload: %s@." msg;
       H.Resilient.exit_code (H.Resilient.Bad_workload msg)
 
+(* A scale must be a finite positive number: the circuit instantiation
+   clamps the scaled cycle and fault counts, so nan, inf or a non-positive
+   scale would otherwise run a silently resized campaign. *)
+let scale_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid scale %S, expected a finite number > 0"
+                s))
+  in
+  Arg.conv (parse, fun ppf x -> Format.fprintf ppf "%g" x)
+
 let scale_arg =
   Arg.(
-    value & opt float 0.25
+    value & opt scale_conv 0.25
     & info [ "scale" ] ~docv:"S"
         ~doc:
           "Scale stimulus length and fault count relative to the paper's \
-           Table II parameters.")
+           Table II parameters; a finite number > 0.")
 
 (* --- observability flags (run + campaign) --- *)
 
@@ -182,45 +197,6 @@ let jobs_arg =
            engine instances; verdicts and reports are identical for any \
            $(docv).")
 
-let schedule_conv =
-  let parse s =
-    match H.Schedule.policy_of_string (String.lowercase_ascii s) with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown schedule policy %S (try: fixed, activation, adaptive)"
-                s))
-  in
-  Arg.conv (parse, fun ppf p ->
-      Format.pp_print_string ppf (H.Schedule.policy_name p))
-
-let schedule_arg =
-  Arg.(
-    value
-    & opt (some schedule_conv) None
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Fault-schedule planner policy: $(b,fixed) (ascending fault ids, \
-           capture-grid snapshots — reproduces the historical batching \
-           byte-for-byte), $(b,activation) (batches grouped by activation \
-           window, capture-grid snapshots), or $(b,adaptive) (activation \
-           batches plus replanned snapshot placement at each batch's exact \
-           activation boundary, within the capture's snapshot budget). \
-           Default: adaptive for $(b,--warmstart) runs, fixed cold. \
-           Verdicts are byte-identical across policies.")
-
-let capture_mem_limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "capture-mem-limit" ] ~docv:"BYTES"
-        ~doc:
-          "Spill the $(b,--warmstart) good-trace capture to a disk-backed \
-           memory map when its in-memory footprint exceeds $(docv) bytes. \
-           Replay and reports are unchanged. Default: never spill.")
-
 let run_cmd =
   let engine_arg =
     Arg.(
@@ -252,30 +228,8 @@ let run_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the full campaign result as JSON.")
   in
-  let warmstart_arg =
-    Arg.(
-      value & flag
-      & info [ "warmstart" ]
-          ~doc:
-            "Capture the good network's trace once and warm-start every \
-             batch from snapshots at each fault's activation window instead \
-             of re-simulating the good network; faults the cone-of-influence \
-             analysis proves statically undetectable are reported without \
-             being simulated. Verdicts are identical to the cold path. \
-             Concurrent engines only; ignored for ifsim and vfsim.")
-  in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:
-            "Snapshot interval (cycles) for the $(b,--warmstart) capture; \
-             smaller intervals skip dead prefixes more precisely at a \
-             linear memory cost. Default: max(8, cycles/16).")
-  in
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
-      jobs warmstart snapshot_every schedule capture_mem_limit trace metrics =
+      jobs trace metrics =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
     if jobs < 1 then
@@ -287,10 +241,7 @@ let run_cmd =
     Format.printf "%s on %s: %d cycles, %d faults@."
       (H.Campaign.engine_name engine) c.name w.Workload.cycles
       (Array.length faults);
-    let r =
-      H.Campaign.run ~instrument ~jobs ~warmstart ?snapshot_every
-        ?schedule ?capture_mem_limit engine g w faults
-    in
+    let r = H.Campaign.run ~instrument ~jobs engine g w faults in
     Format.printf "  coverage   %.2f%% (%d/%d)@." r.Fault.coverage_pct
       (Fault.count_detected r) (Array.length faults);
     Format.printf "  wall time  %.3f s@." r.Fault.wall_time;
@@ -299,12 +250,6 @@ let run_cmd =
                    skip_implicit=%d@."
       s.Stats.bn_good s.Stats.bn_fault_exec s.Stats.bn_skipped_explicit
       s.Stats.bn_skipped_implicit;
-    if s.Stats.cone_pruned > 0 then
-      Format.printf "  cone       %d fault(s) statically pruned@."
-        s.Stats.cone_pruned;
-    if s.Stats.plan_batches > 0 then
-      Format.printf "  schedule   %d planned batch(es), %d snapshot(s)@."
-        s.Stats.plan_batches s.Stats.plan_snapshots;
     if instrument then
       Format.printf "  behavioral-node time %.0f%%@." (Stats.bn_time_pct s);
     let verdicts = Classify.classify g faults in
@@ -357,9 +302,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a fault-simulation campaign on one circuit.")
     Term.(
       const run $ circuit_arg $ engine_arg $ scale_arg $ instrument_arg
-      $ verify_arg $ json_arg $ jobs_arg $ warmstart_arg
-      $ snapshot_every_arg $ schedule_arg $ capture_mem_limit_arg $ trace_arg
-      $ metrics_arg)
+      $ verify_arg $ json_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 (* --- campaign (resilient runner) --- *)
 
@@ -483,20 +426,19 @@ let campaign_cmd =
              and write it as $(i,repro-<fault>.json) into $(docv) (replay \
              with $(b,eraser repro)).")
   in
-  let snapshot_every_arg =
+  let capture_mem_limit_arg =
     Arg.(
       value
       & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N"
+      & info [ "capture-mem-limit" ] ~docv:"BYTES"
           ~doc:
-            "Snapshot interval (cycles) for the $(b,--warmstart) capture; \
-             smaller intervals skip dead prefixes more precisely at a \
-             linear memory cost. Default: max(8, cycles/16).")
+            "Spill the $(b,--warmstart) good-trace capture to a disk-backed \
+             memory map when its in-memory footprint exceeds $(docv) bytes. \
+             Replay and reports are unchanged. Default: never spill.")
   in
   let run (c : Circuits.Bench_circuit.t) engine scale batch journal resume
       oracle_sample batch_timeout cycle_budget max_retries no_quarantine
-      inject json jobs warmstart snapshot_every schedule
-      capture_mem_limit verdicts_out trace metrics progress supervise
+      inject json jobs warmstart capture_mem_limit verdicts_out trace metrics progress supervise
       repro_dir =
    guard @@ fun () ->
    with_obs ~trace ~metrics @@ fun () ->
@@ -520,8 +462,6 @@ let campaign_cmd =
         repro_dir;
         repro_meta = Some (c.name, scale);
         warmstart;
-        snapshot_every;
-        schedule;
         capture_mem_limit;
       }
     in
@@ -638,8 +578,8 @@ let campaign_cmd =
       const run $ circuit_arg $ engine_arg $ scale_arg $ batch_arg
       $ journal_arg $ resume_arg $ oracle_sample_arg $ batch_timeout_arg
       $ cycle_budget_arg $ max_retries_arg $ no_quarantine_arg $ inject_arg
-      $ json_arg $ jobs_arg $ warmstart_arg $ snapshot_every_arg
-      $ schedule_arg $ capture_mem_limit_arg $ verdicts_arg $ trace_arg
+      $ json_arg $ jobs_arg $ warmstart_arg $ capture_mem_limit_arg
+      $ verdicts_arg $ trace_arg
       $ metrics_arg $ progress_arg $ supervise_arg $ repro_dir_arg)
 
 (* --- chaos --- *)

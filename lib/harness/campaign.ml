@@ -46,8 +46,7 @@ let dispatch ?(instrument = false) ?config ?probe ?goodtrace
 (* Merge planned-batch results back into fault-id order. Faulty networks
    never interact, so each batch's verdicts equal the monolithic run's; the
    merge walks batches in plan order, so verdicts and merged stats are
-   deterministic whatever order the workers finish in. Pruned faults fall
-   through to the defaults: undetected, -1. *)
+   deterministic whatever order the workers finish in. *)
 let merge_batches ~t0 ~n batch_ids results =
   let open Faultsim in
   let detected = Array.make n false in
@@ -66,47 +65,21 @@ let merge_batches ~t0 ~n batch_ids results =
   !stats.Stats.total_seconds <- wall;
   Fault.make_result ~detected ~detection_cycle ~stats:!stats ~wall_time:wall ()
 
-let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
-    ?snapshot_every ?schedule ?capture_mem_limit engine
-    (g : Rtlir.Elaborate.t) w faults =
+let run ?(instrument = false) ?(jobs = 1) engine (g : Rtlir.Elaborate.t) w
+    faults =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
-  let open Faultsim in
   let n = Array.length faults in
   if n = 0 then dispatch ~instrument engine g w faults ~ids:[||]
   else begin
-    let t0 = Stats.now () in
-    let warm =
-      match engine with
-      | Z01x_proxy | Eraser_mm | Eraser_m | Eraser when warmstart ->
-          let config = config_of ~instrument engine in
-          let cone = Flow.Cone.build g in
-          let trace = Engine.Concurrent.capture ~config ?snapshot_every g w in
-          let acts = Engine.Concurrent.activations ~cone trace g faults in
-          let pruned =
-            Engine.Concurrent.statically_undetectable ~cone g faults
-          in
-          Some { Schedule.wi_trace = trace; wi_acts = acts; wi_pruned = pruned }
-      | _ -> None
-    in
-    let policy =
-      match (schedule, warm) with
-      | Some p, _ -> p
-      | None, Some _ -> Schedule.Adaptive
-      | None, None -> Schedule.Fixed
-    in
+    let t0 = Faultsim.Stats.now () in
     let plan =
-      Schedule.plan ~policy ~granularity:(Schedule.Chunks jobs)
-        ?capture_mem_limit ?warm ~design:g ~n
-        ()
+      Schedule.plan ~policy:Schedule.Fixed ~granularity:(Schedule.Chunks jobs)
+        ~design:g ~n ()
     in
-    let npruned = Array.length plan.Schedule.sp_pruned in
-    if npruned > 0 then Obs.Metrics.add "cone.pruned" npruned;
     let batches = plan.Schedule.sp_batches in
     let nb = Array.length batches in
     let run_b (b : Schedule.batch) =
-      dispatch ~instrument
-        ?goodtrace:(Schedule.warm_for plan b.Schedule.sb_ids)
-        engine g w faults ~ids:b.Schedule.sb_ids
+      dispatch ~instrument engine g w faults ~ids:b.Schedule.sb_ids
     in
     let results =
       if jobs = 1 || nb <= 1 then Array.map run_b batches
@@ -136,27 +109,12 @@ let run ?(instrument = false) ?(jobs = 1) ?(warmstart = false)
               (function Some f -> Pool.await f | None -> assert false)
               futures)
     in
-    let r =
-      merge_batches ~t0 ~n
-        (Array.map (fun b -> b.Schedule.sb_ids) batches)
-        results
-    in
-    (match warm with
-    | Some _ ->
-        let stats = r.Fault.stats in
-        stats.Stats.goodtrace_captures <- 1;
-        stats.Stats.cone_pruned <- npruned;
-        stats.Stats.plan_batches <- nb;
-        stats.Stats.plan_snapshots <-
-          (match plan.Schedule.sp_trace with
-          | Some t -> Array.length t.Sim.Goodtrace.snapshots
-          | None -> 0)
-    | None -> ());
-    r
+    merge_batches ~t0 ~n
+      (Array.map (fun b -> b.Schedule.sb_ids) batches)
+      results
   end
 
-let run_circuit ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
-    ?capture_mem_limit engine (c : Circuits.Bench_circuit.t) ~scale =
+let run_circuit ?instrument ?jobs engine (c : Circuits.Bench_circuit.t) ~scale
+    =
   let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-  run ?instrument ?jobs ?warmstart ?snapshot_every ?schedule
-    ?capture_mem_limit engine g w faults
+  run ?instrument ?jobs engine g w faults

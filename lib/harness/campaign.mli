@@ -44,46 +44,24 @@ val dispatch :
   ids:int array ->
   Faultsim.Fault.result
 
-(** [run ?jobs engine g w faults] — with [jobs > 1] (default 1) the fault
-    list is partitioned into [jobs] contiguous chunks simulated by a
-    {!Pool} of worker domains. Verdicts and detection cycles are identical
-    to the monolithic run for any [jobs] (faulty networks never interact);
-    counters tied to the partitioning differ — each worker re-simulates
-    the good network ([bn_good], [rtl_good_eval] scale with the partition
-    count) and faulty RTL-evaluation sharing is per-partition. For
-    byte-identical reports at any [jobs], use {!Resilient.run}, whose
-    batch decomposition is independent of the worker count.
+(** [run ?jobs engine g w faults] — the cold chunked runner. With
+    [jobs > 1] (default 1) the fault list is partitioned into [jobs]
+    contiguous chunks simulated by a {!Pool} of worker domains. Verdicts
+    and detection cycles are identical to the monolithic run for any
+    [jobs] (faulty networks never interact); counters tied to the
+    partitioning differ — each worker re-simulates the good network
+    ([bn_good], [rtl_good_eval] scale with the partition count) and faulty
+    RTL-evaluation sharing is per-partition. For byte-identical reports at
+    any [jobs], or for a good-trace warm start, use {!Resilient.run},
+    whose batch decomposition is independent of the worker count.
 
-    [?warmstart] (default [false], concurrent engines only — the serial
-    baselines ignore it) captures the good trace once
-    ({!Engine.Concurrent.capture}), drops faults the cone-of-influence
-    analysis proves statically undetectable (counted in
-    [stats.cone_pruned]; their verdict is reported undetected without
-    simulating them), sorts the remaining fault list by activation window
-    ({!Engine.Concurrent.activations}) and warm-starts every chunk from
-    the latest good-state snapshot at or before its earliest activation.
-    Verdicts and detection cycles are identical to the cold run for any
-    [jobs]; [bn_good] and [rtl_good_eval] drop to zero for every batch
-    (the one capture run is counted in [stats.goodtrace_captures]).
-    [?snapshot_every] overrides the capture's snapshot interval (see
-    {!Engine.Concurrent.capture}); it only affects warm-started runs.
-
-    Whatever the options, execution is "plan, then execute plan": the
-    fault set is decomposed by {!Schedule.plan} (granularity
-    [Chunks jobs]), every batch is dispatched through {!dispatch} with the
-    plan's warm start, and results merge in plan order. [?schedule] picks
-    the planner policy (default [Adaptive] for warm runs; cold runs always
-    degrade to [Fixed], which reproduces the historical contiguous-chunk
-    partition). [?capture_mem_limit] spills the planned trace to a
-    disk-backed mmap when [capture_bytes] exceeds it. Verdicts are
-    byte-identical across policies — batches never interact. *)
+    Execution is "plan, then execute plan": the fault set is decomposed by
+    {!Schedule.plan} ([Fixed], granularity [Chunks jobs] — the historical
+    contiguous-chunk partition), every chunk is dispatched through
+    {!dispatch}, and results merge in plan order. *)
 val run :
   ?instrument:bool ->
   ?jobs:int ->
-  ?warmstart:bool ->
-  ?snapshot_every:int ->
-  ?schedule:Schedule.policy ->
-  ?capture_mem_limit:int ->
   engine ->
   Rtlir.Elaborate.t ->
   Faultsim.Workload.t ->
@@ -94,10 +72,6 @@ val run :
 val run_circuit :
   ?instrument:bool ->
   ?jobs:int ->
-  ?warmstart:bool ->
-  ?snapshot_every:int ->
-  ?schedule:Schedule.policy ->
-  ?capture_mem_limit:int ->
   engine ->
   Circuits.Bench_circuit.t ->
   scale:float ->

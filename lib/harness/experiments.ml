@@ -434,7 +434,6 @@ let activation ?(jobs = 4) ?(snapshot_every = 1) ~scale () =
           Resilient.default_config with
           Resilient.jobs;
           batch_size = 1;
-          snapshot_every = Some snapshot_every;
         }
       in
       let cold = Resilient.run ~config:base g w faults in
@@ -516,121 +515,6 @@ let activation_json ~scale rows =
   Jsonl.Obj
     [
       ("experiment", Jsonl.String "activation");
-      ("scale", Jsonl.Float scale);
-      ("circuits", Jsonl.List (List.map row_json rows));
-    ]
-
-type schedule_point = {
-  sch_policy : string;
-  sch_skipped : int;
-  sch_wall : float;
-  sch_batches : int;
-  sch_snapshots : int;
-  sch_verdicts_equal : bool;
-}
-
-type schedule_row = {
-  sch_name : string;
-  sch_faults : int;
-  sch_cycles : int;
-  sch_cold_wall : float;
-  sch_capture_wall : float;
-  sch_points : schedule_point list;
-}
-
-let schedule_names = [ "alu"; "sha256_hv" ]
-
-(* Schedule-policy benchmark: one cold baseline, one good-trace capture,
-   then the same warm resilient campaign under each planner policy — the
-   capture is shared across all three runs through [config.capture], so
-   the sweep isolates what the policy alone buys. [Fixed] keeps ascending
-   fault ids (batch minima pin most warm starts to cycle 0), [Activation]
-   groups by window on the capture grid, [Adaptive] additionally replans
-   the snapshot set at each batch's exact activation boundary. Verdicts
-   must match the cold baseline under every policy — that equality is the
-   planner's soundness gate. *)
-let schedule ?(jobs = 4) ~scale () =
-  List.map
-    (fun name ->
-      let c = Circuits.find name in
-      let _, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
-      let n = Array.length faults in
-      let base =
-        {
-          Resilient.default_config with
-          Resilient.jobs;
-          batch_size = max 1 (n / 8);
-        }
-      in
-      let cold = Resilient.run ~config:base g w faults in
-      let cr = cold.Resilient.result in
-      let t0 = Stats.now () in
-      let cap = Engine.Concurrent.capture g w in
-      let capture_wall = Stats.now () -. t0 in
-      let points =
-        List.map
-          (fun policy ->
-            let warm =
-              Resilient.run
-                ~config:
-                  {
-                    base with
-                    Resilient.warmstart = true;
-                    capture = Some cap;
-                    schedule = Some policy;
-                  }
-                g w faults
-            in
-            let wr = warm.Resilient.result in
-            let s = wr.Fault.stats in
-            {
-              sch_policy = Schedule.policy_name policy;
-              sch_skipped = s.Stats.good_cycles_skipped;
-              sch_wall = wr.Fault.wall_time;
-              sch_batches = s.Stats.plan_batches;
-              sch_snapshots = s.Stats.plan_snapshots;
-              sch_verdicts_equal =
-                cr.Fault.detected = wr.Fault.detected
-                && cr.Fault.detection_cycle = wr.Fault.detection_cycle;
-            })
-          [ Schedule.Fixed; Schedule.Activation; Schedule.Adaptive ]
-      in
-      {
-        sch_name = c.paper_name;
-        sch_faults = n;
-        sch_cycles = w.Workload.cycles;
-        sch_cold_wall = cr.Fault.wall_time;
-        sch_capture_wall = capture_wall;
-        sch_points = points;
-      })
-    schedule_names
-
-let schedule_json ~scale rows =
-  let point_json p =
-    Jsonl.Obj
-      [
-        ("policy", Jsonl.String p.sch_policy);
-        ("good_cycles_skipped", Jsonl.Int p.sch_skipped);
-        ("wall_s", Jsonl.Float p.sch_wall);
-        ("plan_batches", Jsonl.Int p.sch_batches);
-        ("plan_snapshots", Jsonl.Int p.sch_snapshots);
-        ("verdicts_equal", Jsonl.Bool p.sch_verdicts_equal);
-      ]
-  in
-  let row_json r =
-    Jsonl.Obj
-      [
-        ("name", Jsonl.String r.sch_name);
-        ("faults", Jsonl.Int r.sch_faults);
-        ("cycles", Jsonl.Int r.sch_cycles);
-        ("cold_wall_s", Jsonl.Float r.sch_cold_wall);
-        ("capture_wall_s", Jsonl.Float r.sch_capture_wall);
-        ("policies", Jsonl.List (List.map point_json r.sch_points));
-      ]
-  in
-  Jsonl.Obj
-    [
-      ("experiment", Jsonl.String "schedule");
       ("scale", Jsonl.Float scale);
       ("circuits", Jsonl.List (List.map row_json rows));
     ]

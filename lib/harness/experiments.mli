@@ -169,32 +169,3 @@ val activation :
     good_cycles_skipped, cold_wall_s, cone_wall_s, verdicts_equal}]}]. *)
 val activation_json : scale:float -> activation_row list -> Jsonl.t
 
-type schedule_point = {
-  sch_policy : string;  (** {!Schedule.policy_name} *)
-  sch_skipped : int;  (** [good_cycles_skipped] under this policy *)
-  sch_wall : float;  (** warm campaign wall time (capture excluded) *)
-  sch_batches : int;  (** plan batches executed *)
-  sch_snapshots : int;  (** snapshots held by the planned trace *)
-  sch_verdicts_equal : bool;  (** verdicts match the cold baseline *)
-}
-
-type schedule_row = {
-  sch_name : string;
-  sch_faults : int;
-  sch_cycles : int;
-  sch_cold_wall : float;  (** cold resilient baseline *)
-  sch_capture_wall : float;  (** the one shared capture run *)
-  sch_points : schedule_point list;  (** fixed, activation, adaptive *)
-}
-
-(** Schedule-policy benchmark (DESIGN.md §15): the same warm resilient
-    campaign under each planner policy, sharing one good-trace capture
-    through [config.capture], against one cold baseline. Every policy must
-    reproduce the cold verdicts exactly. *)
-val schedule : ?jobs:int -> scale:float -> unit -> schedule_row list
-
-(** One-line JSON document for [BENCH_schedule.json]: [{experiment, scale,
-    circuits: [{name, faults, cycles, cold_wall_s, capture_wall_s,
-    policies: [{policy, good_cycles_skipped, wall_s, plan_batches,
-    plan_snapshots, verdicts_equal}]}]}]. *)
-val schedule_json : scale:float -> schedule_row list -> Jsonl.t

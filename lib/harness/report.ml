@@ -180,25 +180,6 @@ let activation ppf rows =
         (if r.act_verdicts_equal then "equal" else "DIFFER"))
     rows
 
-let schedule ppf rows =
-  Format.fprintf ppf
-    "Schedule: planner policies over one shared good-trace capture@.";
-  Format.fprintf ppf "  %-12s %7s %7s %9s %10s | %s@." "Benchmark" "#Faults"
-    "#Cycles" "cold(s)" "capture(s)"
-    "per policy: skipped batches snapshots wall(s) verdicts";
-  List.iter
-    (fun (r : Experiments.schedule_row) ->
-      Format.fprintf ppf "  %-12s %7d %7d %9.3f %10.3f |" r.sch_name
-        r.sch_faults r.sch_cycles r.sch_cold_wall r.sch_capture_wall;
-      List.iter
-        (fun (p : Experiments.schedule_point) ->
-          Format.fprintf ppf "  %s: %d %d %d %.3f %s" p.sch_policy
-            p.sch_skipped p.sch_batches p.sch_snapshots p.sch_wall
-            (if p.sch_verdicts_equal then "equal" else "DIFFER"))
-        r.sch_points;
-      Format.fprintf ppf "@.")
-    rows
-
 let resilience ppf rows =
   Format.fprintf ppf
     "Resilient runner: batched / resumed coverage parity and divergence \

@@ -24,6 +24,3 @@ val warmstart : Format.formatter -> Experiments.warmstart_row list -> unit
 
 (** Text table for the cone-refined activation benchmark. *)
 val activation : Format.formatter -> Experiments.activation_row list -> unit
-
-(** Text table for the schedule-policy benchmark. *)
-val schedule : Format.formatter -> Experiments.schedule_row list -> unit

@@ -65,8 +65,6 @@ type config = {
   repro_dir : string option;
   repro_meta : (string * float) option;
   warmstart : bool;
-  snapshot_every : int option;
-  schedule : Schedule.policy option;
   capture : Sim.Goodtrace.t option;
   capture_mem_limit : int option;
 }
@@ -90,8 +88,6 @@ let default_config =
     repro_dir = None;
     repro_meta = None;
     warmstart = false;
-    snapshot_every = None;
-    schedule = None;
     capture = None;
     capture_mem_limit = None;
   }
@@ -130,7 +126,7 @@ type batch_outcome = {
   b_repros : string list;  (* repro files emitted for this batch *)
 }
 
-let header_json ~design_name ?schedule cfg (w : Workload.t) nfaults =
+let header_json ~design_name ~policy cfg (w : Workload.t) nfaults =
   Jsonl.Obj
     ([
        ("type", Jsonl.String "header");
@@ -147,17 +143,18 @@ let header_json ~design_name ?schedule cfg (w : Workload.t) nfaults =
     (* only present on warm campaigns: the batch decomposition is
        planner-ordered there, so a warm journal is incompatible with a
        cold campaign's decomposition (and vice versa). [run] reads the
-       flag and the schedule policy back from an existing journal on
-       resume and adopts both, so a resume continues in the journal's own
-       regime regardless of the resuming invocation's flags. Cold
-       journals keep their historical byte format. *)
+       flag back from an existing journal on resume and adopts it, so a
+       resume continues in the journal's own regime regardless of the
+       resuming invocation's flags. The policy is recorded, not adopted:
+       it follows from the regime, so a header naming any other policy
+       fails the exact header comparison.
+       Cold journals keep their historical byte format. *)
     @
     if cfg.warmstart then
-      ("warmstart", Jsonl.Bool true)
-      ::
-      (match schedule with
-      | Some s -> [ ("schedule", Jsonl.String s) ]
-      | None -> [])
+      [
+        ("warmstart", Jsonl.Bool true);
+        ("schedule", Jsonl.String (Schedule.policy_name policy));
+      ]
     else [])
 
 (* Journals written while the engine had a lane-packed mode carry a
@@ -517,6 +514,11 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
     err
       (Bad_workload
          (Printf.sprintf "jobs must be positive, got %d" config.jobs));
+  if config.max_retries < 0 then
+    err
+      (Bad_workload
+         (Printf.sprintf "max retries must be non-negative, got %d"
+            config.max_retries));
   if config.oracle_sample < 0.0 || config.oracle_sample > 1.0 then
     err
       (Bad_workload
@@ -528,14 +530,14 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
          (Printf.sprintf "negative cycle count %d" w.Workload.cycles));
   (* Resume adopts the journal's own regime: warm and cold campaigns use
      different batch decompositions (planner-ordered vs contiguous), so
-     the journal records ["warmstart"] and ["schedule"] header fields and
-     a resume must continue in the regime the journal was written under —
-     re-capturing the good trace and re-planning under the journal's
-     policy even when the resuming invocation's flags differ, and running
-     cold for a cold journal even when they don't. Only those fields are
-     adopted; every other header parameter is still validated strictly by
-     [load_journal]. An unreadable header falls through untouched and
-     fails there with the proper error. *)
+     the journal records a ["warmstart"] header field and a resume must
+     continue in the regime the journal was written under — re-capturing
+     the good trace even when the resuming invocation's flags differ, and
+     running cold for a cold journal even when they don't. Only that field
+     is adopted; every other header parameter, the ["schedule"] policy
+     included, is still validated strictly by [load_journal]. An
+     unreadable header falls through untouched and fails there with the
+     proper error. *)
   let config =
     match config.journal with
     | Some path when config.resume && Sys.file_exists path -> (
@@ -544,21 +546,12 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
             match parse_header header_line with
             | exception Jsonl.Parse_error _ -> config
             | j ->
-                let journal_warm =
+                let warmstart =
                   match Jsonl.member "warmstart" j with
                   | Some (Jsonl.Bool b) -> b
                   | _ -> false
                 in
-                let journal_sched =
-                  match Jsonl.member "schedule" j with
-                  | Some (Jsonl.String s) -> Schedule.policy_of_string s
-                  | _ -> None
-                in
-                {
-                  config with
-                  warmstart = journal_warm;
-                  schedule = journal_sched;
-                })
+                { config with warmstart })
         | [] -> config)
     | _ -> config
   in
@@ -604,7 +597,6 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
               in
               try
                 Engine.Concurrent.capture ~config:cc
-                  ?snapshot_every:config.snapshot_every
                   ~instance:(instance_for 0) g w
               with Workload.Invalid_workload msg -> err (Bad_workload msg))
         in
@@ -619,10 +611,9 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
     | _ -> None
   in
   let policy =
-    match (config.schedule, warm_input) with
-    | Some p, _ -> p
-    | None, Some _ -> Schedule.Adaptive
-    | None, None -> Schedule.Fixed
+    match warm_input with
+    | Some _ -> Schedule.Adaptive
+    | None -> Schedule.Fixed
   in
   let plan =
     Schedule.plan ~policy ~granularity:(Schedule.Size config.batch_size)
@@ -659,11 +650,7 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
   in
   let design_name = g.Rtlir.Elaborate.design.Rtlir.Design.dname in
   let expected_header =
-    header_json ~design_name
-      ?schedule:
-        (if config.warmstart then Some (Schedule.policy_name plan.Schedule.sp_policy)
-         else None)
-      config w n
+    header_json ~design_name ~policy:plan.Schedule.sp_policy config w n
   in
   let replay =
     match config.journal with

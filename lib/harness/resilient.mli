@@ -100,7 +100,8 @@ type config = {
   batch_size : int;  (** faults per batch, >= 1 *)
   max_batch_seconds : float option;  (** per-batch wall-clock budget *)
   max_batch_cycles : int option;  (** per-batch cycle budget *)
-  max_retries : int;  (** split generations after a watchdog trip *)
+  max_retries : int;
+      (** split generations after a watchdog trip, >= 0 *)
   oracle_sample : float;  (** per-batch oracle re-check probability, 0..1 *)
   sample_seed : int64;
   journal : string option;  (** JSONL checkpoint path *)
@@ -128,44 +129,35 @@ type config = {
       (** bench-circuit (name, scale) recorded inside repro files so
           [eraser repro] can re-instantiate the design *)
   warmstart : bool;
-      (** capture the good trace once ({!Engine.Concurrent.capture}) and
-          warm-start every batch: batches are composed of
-          activation-sorted fault ids and each starts from the latest
-          good-state snapshot at or before its earliest fault activation,
-          replaying recorded good writes instead of re-simulating the good
-          network. Verdicts, detection cycles and the final report are
+      (** capture the good trace once ({!Engine.Concurrent.capture}, at
+          its default snapshot interval) and warm-start every batch: the
+          plan is {!Schedule.Adaptive} — batches are composed of
+          activation-sorted fault ids and each starts from a snapshot
+          placed at or before its earliest fault activation, replaying
+          recorded good writes instead of re-simulating the good network.
+          Cold runs plan {!Schedule.Fixed}; the policy is never a separate
+          choice. Verdicts, detection cycles and the final report are
           byte-identical to a cold run at any [jobs]; only the redundancy
           counters change ([bn_good] drops to zero per batch,
           [good_cycles_skipped] counts the skipped prefixes,
           [cone_pruned] counts the statically-undetectable faults the
           cone analysis excluded from simulation — see
           [summary.pruned_faults]). Concurrent engines only —
-          [Ifsim]/[Vfsim] ignore the flag. A warm journal records a
-          ["warmstart"] header field; on [resume] the runner adopts the
-          journal's flag (re-capturing the good trace for a warm journal,
-          running cold for a cold one) regardless of this field's value,
-          so a campaign always resumes in the regime it was started
-          under. Off by default. *)
-  snapshot_every : int option;
-      (** snapshot interval for the warm-start capture, in cycles
-          ([None]: [max 8 (cycles / 16)]). Smaller intervals skip dead
-          prefixes more precisely at a linear memory cost. The [Adaptive]
-          schedule replans snapshot placement after capture either way
-          (within the captured snapshot count as its budget). *)
-  schedule : Schedule.policy option;
-      (** planner policy for the batch decomposition ([None]: [Adaptive]
-          when warm, degrades to [Fixed] cold — which reproduces the
-          historical contiguous-chunk decomposition byte-for-byte).
-          Journaled in a warm header's ["schedule"] field and in the
-          typed [{"type":"plan",...}] record; on [resume] the journal's
-          policy is adopted like [warmstart]. Verdicts are byte-identical
-          across policies — batches never interact. *)
+          [Ifsim]/[Vfsim] ignore the flag. A warm journal records
+          ["warmstart"] and ["schedule"] header fields; on [resume] the
+          runner adopts the journal's ["warmstart"] flag (re-capturing the
+          good trace for a warm journal, running cold for a cold one)
+          regardless of this field's value, so a campaign always resumes
+          in the regime it was started under. The ["schedule"] field is
+          validated, not adopted: a journal naming a retired policy
+          ([fixed] or [activation] on a warm concurrent campaign) fails
+          with [Journal_corrupt]. Off by default. *)
   capture : Sim.Goodtrace.t option;
       (** pre-captured good trace to plan from instead of capturing one
           here ([warmstart] runs only). The capture runs zero faults, so
           a trace is valid for every engine mode — this is how the bench
-          sweeps share one capture across engines, jobs and schedule
-          policies. [goodtrace_captures] still reports 1: one capture run
+          sweeps share one capture across engines and jobs.
+          [goodtrace_captures] still reports 1: one capture run
           stands behind the result. *)
   capture_mem_limit : int option;
       (** spill the planned trace's int64 payloads to a disk-backed mmap

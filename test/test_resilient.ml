@@ -620,10 +620,18 @@ let test_negative_cycles_rejected () =
    with
   | () -> Alcotest.fail "expected Invalid_workload"
   | exception Workload.Invalid_workload _ -> ());
-  let _, g, _, faults = campaign "alu" in
+  let _, g, good_w, faults = campaign "alu" in
   expect_error "negative cycles through the runner"
     (function R.Bad_workload _ -> true | _ -> false)
-    (fun () -> ignore (R.run g w faults))
+    (fun () -> ignore (R.run g w faults));
+  (* runner configuration counts are validated the same way *)
+  expect_error "negative max_retries through the runner"
+    (function R.Bad_workload _ -> true | _ -> false)
+    (fun () ->
+      ignore
+        (R.run
+           ~config:{ R.default_config with R.max_retries = -1 }
+           g good_w faults))
 
 let test_unknown_drive_target_rejected () =
   let _, g, w, faults = campaign "alu" in

@@ -4,7 +4,8 @@
    permutation partition of the unpruned fault set under every policy and
    granularity; executing any plan yields verdicts byte-identical to the
    serial oracle path; a journaled plan resumes across worker counts to a
-   byte-identical report; and the satellite seams — mmap spill, post-hoc
+   byte-identical report while a warm header naming any policy but
+   adaptive fails resume; and the satellite seams — mmap spill, post-hoc
    snapshot reconstruction, halve/singleton refinement — preserve replay
    exactly. *)
 
@@ -122,7 +123,7 @@ let test_partition_property () =
                           k)
                     seen)
                 granularities)
-            [ H.Schedule.Fixed; H.Schedule.Activation; H.Schedule.Adaptive ])
+            [ H.Schedule.Fixed; H.Schedule.Adaptive ])
         [ ("cold", None); ("warm", Some warm) ])
     fault_sets
 
@@ -159,32 +160,74 @@ let test_fixed_cold_reproduces_chunks () =
         plan.H.Schedule.sp_batches)
     [ 1; 2; 4; 7; 97 ]
 
-(* Plan execution vs the serial oracle: for every policy, the warm planned
-   campaign's verdicts report is byte-identical to the cold one, across
-   engines and worker counts. *)
+(* Execute every batch of [plan] through the shared dispatch point, from
+   the plan's own warm start, and gather the verdicts in fault-id order. *)
+let execute_plan engine g w faults plan =
+  let n = Array.length faults in
+  let detected = Array.make n false in
+  let detection_cycle = Array.make n (-1) in
+  Array.iter
+    (fun (b : H.Schedule.batch) ->
+      let ids = b.H.Schedule.sb_ids in
+      let r =
+        H.Campaign.dispatch
+          ?goodtrace:(H.Schedule.warm_for plan ids)
+          engine g w faults ~ids
+      in
+      Array.iteri
+        (fun j id ->
+          detected.(id) <- r.Fault.detected.(j);
+          detection_cycle.(id) <- r.Fault.detection_cycle.(j))
+        ids)
+    plan.H.Schedule.sp_batches;
+  Fault.make_result ~detected ~detection_cycle ~stats:(Stats.create ())
+    ~wall_time:0.0 ()
+
+(* Plan execution vs the cold path: for both policies the executed warm
+   plan's verdicts report is byte-identical to the cold one, and so is the
+   warm resilient campaign's (which plans Adaptive) at every worker count,
+   across engines. *)
 let test_planned_verdicts_byte_identical () =
   let c = Circuits.find "alu" in
   let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
+  let n = Array.length faults in
+  let warm = warm_input g w faults in
   List.iter
     (fun engine ->
       let cold = H.Campaign.run engine g w faults in
       let cold_s = render_verdicts ~design:d ~engine ~faults cold in
+      let same ctx r =
+        if render_verdicts ~design:d ~engine ~faults r <> cold_s then
+          Alcotest.failf "%s %s: verdicts differ"
+            (H.Campaign.engine_name engine)
+            ctx
+      in
       List.iter
-        (fun schedule ->
-          List.iter
-            (fun jobs ->
-              let warm =
-                H.Campaign.run ~jobs ~warmstart:true ~schedule engine g w
-                  faults
-              in
-              let warm_s = render_verdicts ~design:d ~engine ~faults warm in
-              if warm_s <> cold_s then
-                Alcotest.failf "%s -j %d --schedule %s: verdicts differ"
-                  (H.Campaign.engine_name engine)
-                  jobs
-                  (H.Schedule.policy_name schedule))
-            [ 1; 2 ])
-        [ H.Schedule.Fixed; H.Schedule.Activation; H.Schedule.Adaptive ])
+        (fun policy ->
+          let plan =
+            H.Schedule.plan ~policy ~granularity:(H.Schedule.Size 8) ~warm
+              ~design:g ~n ()
+          in
+          same
+            ("plan " ^ H.Schedule.policy_name policy)
+            (execute_plan engine g w faults plan))
+        [ H.Schedule.Fixed; H.Schedule.Adaptive ];
+      List.iter
+        (fun jobs ->
+          let s =
+            H.Resilient.run
+              ~config:
+                {
+                  H.Resilient.default_config with
+                  H.Resilient.engine;
+                  jobs;
+                  batch_size = 8;
+                  warmstart = true;
+                }
+              g w faults
+          in
+          same (Printf.sprintf "warm -j %d" jobs) s.H.Resilient.result)
+        [ 1; 2 ])
     [ H.Campaign.Z01x_proxy; H.Campaign.Eraser ]
 
 (* Simulate a mid-campaign crash: drop the journal's final record. *)
@@ -207,9 +250,8 @@ let drop_last_line path =
   close_out oc
 
 (* A warm journal carries the plan (header field + typed record); a torn
-   campaign resumed at a different worker count — and even under a
-   different --schedule flag, which resume must ignore in favour of the
-   journal's policy — replays to a byte-identical resilient report. *)
+   campaign resumed at a different worker count replays to a
+   byte-identical resilient report. *)
 let test_plan_resumes_across_jobs () =
   let c = Circuits.find "alu" in
   let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
@@ -237,18 +279,87 @@ let test_plan_resumes_across_jobs () =
       let resumed =
         H.Resilient.run
           ~config:
-            {
-              cfg with
-              H.Resilient.resume = true;
-              jobs = 4;
-              schedule = Some H.Schedule.Fixed;
-            }
+            { cfg with H.Resilient.resume = true; jobs = 4 }
           g w faults
       in
       if resumed.H.Resilient.batches_resumed = 0 then
         Alcotest.fail "resume replayed nothing from the journal";
       Alcotest.(check string)
         "resumed resilient report byte-identical" reference
+        (render_resilient ~design:d ~engine ~faults ~verdicts resumed))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path text =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+
+(* A warm campaign always plans Adaptive, so a warm header naming another
+   policy (["fixed"] or ["activation"], as older journals may) must fail
+   resume with a typed Journal_corrupt rather than be re-planned — even
+   when nothing but the header survived the crash. The default warm
+   journal, torn mid-way through its last line, still resumes at another
+   worker count to a byte-identical report. *)
+let test_retired_policy_journal () =
+  let c = Circuits.find "alu" in
+  let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
+  let engine = H.Campaign.Eraser in
+  let verdicts = Classify.classify g faults in
+  let journal = Filename.temp_file "eraser_schedule" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      let cfg =
+        {
+          H.Resilient.default_config with
+          H.Resilient.engine;
+          batch_size = 8;
+          journal = Some journal;
+          warmstart = true;
+        }
+      in
+      let full = H.Resilient.run ~config:cfg g w faults in
+      let reference =
+        render_resilient ~design:d ~engine ~faults ~verdicts full
+      in
+      let text = read_file journal in
+      let header = String.sub text 0 (String.index text '\n') in
+      let kvs =
+        match H.Jsonl.parse header with
+        | H.Jsonl.Obj kvs -> kvs
+        | _ -> Alcotest.fail "journal header is not an object"
+      in
+      if List.assoc_opt "schedule" kvs <> Some (H.Jsonl.String "adaptive") then
+        Alcotest.failf "default warm header is not adaptive: %s" header;
+      let resume = { cfg with H.Resilient.resume = true; jobs = 2 } in
+      List.iter
+        (fun retired ->
+          let kvs =
+            List.map
+              (fun (k, v) ->
+                if k = "schedule" then (k, H.Jsonl.String retired) else (k, v))
+              kvs
+          in
+          write_file journal (H.Jsonl.to_string (H.Jsonl.Obj kvs) ^ "\n");
+          match H.Resilient.run ~config:resume g w faults with
+          | _ -> Alcotest.failf "a %s journal header resumed" retired
+          | exception
+              H.Resilient.Campaign_error (H.Resilient.Journal_corrupt _) ->
+              ())
+        [ "fixed"; "activation" ];
+      (* tear the last record mid-line: the crash window resume survives *)
+      let cut = String.rindex_from text (String.length text - 2) '\n' in
+      let last_len = String.length text - cut - 1 in
+      write_file journal (String.sub text 0 (cut + 1 + (last_len / 2)));
+      let resumed = H.Resilient.run ~config:resume g w faults in
+      if resumed.H.Resilient.batches_resumed = 0 then
+        Alcotest.fail "resume replayed nothing from the journal";
+      Alcotest.(check string)
+        "resumed default warm journal byte-identical" reference
         (render_resilient ~design:d ~engine ~faults ~verdicts resumed))
 
 (* Refinement helpers: halve is an order-preserving exact split, singletons
@@ -273,7 +384,7 @@ let test_refinement_invariants () =
   let n = Array.length faults in
   let warm = warm_input g w faults in
   let plan =
-    H.Schedule.plan ~policy:H.Schedule.Activation
+    H.Schedule.plan ~policy:H.Schedule.Adaptive
       ~granularity:(H.Schedule.Size 4) ~warm ~design:g ~n ()
   in
   let trace =
@@ -304,8 +415,8 @@ let test_refinement_invariants () =
     plan.H.Schedule.sp_batches
 
 (* Spill satellite: a disk-backed capture replays to byte-identical
-   verdicts, both at the trace level and end-to-end through the campaign
-   with --capture-mem-limit 0 (spill always). *)
+   verdicts, both at the trace level and end-to-end through the warm
+   resilient campaign with capture_mem_limit 0 (spill always). *)
 let test_spilled_capture_replays_identically () =
   let c = Circuits.find "alu" in
   let d, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
@@ -338,8 +449,17 @@ let test_spilled_capture_replays_identically () =
   let engine = H.Campaign.Eraser in
   let cold = H.Campaign.run engine g w faults in
   let warm =
-    H.Campaign.run ~jobs:2 ~warmstart:true ~capture_mem_limit:0 engine g w
-      faults
+    (H.Resilient.run
+       ~config:
+         {
+           H.Resilient.default_config with
+           H.Resilient.engine;
+           jobs = 2;
+           warmstart = true;
+           capture_mem_limit = Some 0;
+         }
+       g w faults)
+      .H.Resilient.result
   in
   Alcotest.(check string)
     "spilled campaign verdicts byte-identical"
@@ -397,6 +517,9 @@ let suite =
       `Slow test_planned_verdicts_byte_identical;
     Alcotest.test_case "journaled plan resumes across jobs byte-identically"
       `Quick test_plan_resumes_across_jobs;
+    Alcotest.test_case
+      "retired-policy journal fails resume, default warm journal resumes"
+      `Quick test_retired_policy_journal;
     Alcotest.test_case "halve / singletons / warm_for refinement invariants"
       `Quick test_refinement_invariants;
     Alcotest.test_case "spilled capture replays byte-identically" `Quick

@@ -26,6 +26,20 @@ let render_verdicts ~design ~engine ~faults r =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
+(* The one warm runner: a warm-started resilient campaign's merged result. *)
+let warm_run ?(jobs = 1) ?(batch_size = 64) engine g w faults =
+  (H.Resilient.run
+     ~config:
+       {
+         H.Resilient.default_config with
+         H.Resilient.engine;
+         jobs;
+         batch_size;
+         warmstart = true;
+       }
+     g w faults)
+    .H.Resilient.result
+
 (* Warm vs cold byte-identity: every concurrent engine, jobs 1/2/4, on the
    alu stuck-at campaign. The cold reference is the monolithic run. *)
 let test_warm_byte_identical () =
@@ -37,7 +51,7 @@ let test_warm_byte_identical () =
       let cold_s = render_verdicts ~design:d ~engine ~faults cold in
       List.iter
         (fun jobs ->
-          let warm = H.Campaign.run ~jobs ~warmstart:true engine g w faults in
+          let warm = warm_run ~jobs engine g w faults in
           let warm_s = render_verdicts ~design:d ~engine ~faults warm in
           if warm_s <> cold_s then
             Alcotest.failf
@@ -55,9 +69,9 @@ let test_warm_byte_identical () =
     concurrent_engines
 
 (* Activation-window batching: transient faults spread evenly over the
-   workload force distinct activation windows; with two workers the later
-   chunk's earliest activation is past the first snapshot, so the dead
-   prefix must actually be skipped — and verdicts still match cold. *)
+   workload force distinct activation windows; cut into two batches, the
+   later batch's earliest activation is past the first snapshot, so the
+   dead prefix must actually be skipped — and verdicts still match cold. *)
 let test_transient_windows_skip_prefix () =
   let c = Circuits.find "alu" in
   let d, g, w, _ = Circuits.Bench_circuit.instantiate c ~scale:0.1 in
@@ -74,7 +88,7 @@ let test_transient_windows_skip_prefix () =
   in
   let engine = H.Campaign.Eraser in
   let cold = H.Campaign.run engine g w faults in
-  let warm = H.Campaign.run ~jobs:2 ~warmstart:true engine g w faults in
+  let warm = warm_run ~jobs:2 ~batch_size:(n / 2) engine g w faults in
   Alcotest.(check string)
     "transient verdicts identical"
     (render_verdicts ~design:d ~engine ~faults cold)
