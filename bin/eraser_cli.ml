@@ -57,15 +57,22 @@ let circuit_arg =
 
 (* Map the structured campaign errors to one-line stderr messages and
    distinct exit codes (divergence 3, timeout 4, corrupt journal 5, bad
-   workload 6); everything else keeps cmdliner's conventions. *)
+   workload 6, host I/O 9); everything else keeps cmdliner's conventions.
+   A file that cannot be opened or written is a host I/O error, not an
+   internal one. *)
 let guard f =
+  let fail e =
+    Format.eprintf "eraser: %s@." (H.Resilient.error_message e);
+    H.Resilient.exit_code e
+  in
   try f () with
-  | H.Resilient.Campaign_error e ->
-      Format.eprintf "eraser: %s@." (H.Resilient.error_message e);
-      H.Resilient.exit_code e
-  | Workload.Invalid_workload msg ->
-      Format.eprintf "eraser: bad workload: %s@." msg;
-      H.Resilient.exit_code (H.Resilient.Bad_workload msg)
+  | H.Resilient.Campaign_error e -> fail e
+  | Workload.Invalid_workload msg -> fail (H.Resilient.Bad_workload msg)
+  | Sys_error msg -> fail (H.Resilient.Host_io msg)
+
+(* Output files are checked before any simulation runs. *)
+let check_outputs paths =
+  List.iter (Option.iter H.Resilient.check_output_path) paths
 
 (* A scale must be a finite positive number: the circuit instantiation
    clamps the scaled cycle and fault counts, so nan, inf or a non-positive
@@ -231,6 +238,7 @@ let run_cmd =
   let run (c : Circuits.Bench_circuit.t) engine scale instrument verify json
       jobs trace metrics =
    guard @@ fun () ->
+   check_outputs [ json; trace; metrics ];
    with_obs ~trace ~metrics @@ fun () ->
     if jobs < 1 then
       raise
@@ -441,6 +449,7 @@ let campaign_cmd =
       inject json jobs warmstart capture_mem_limit verdicts_out trace metrics progress supervise
       repro_dir =
    guard @@ fun () ->
+   check_outputs [ json; verdicts_out; trace; metrics ];
    with_obs ~trace ~metrics @@ fun () ->
     let design, g, w, faults = Circuits.Bench_circuit.instantiate c ~scale in
     let config =
@@ -939,6 +948,8 @@ let output_arg =
 
 let export_cmd =
   let run (c : Circuits.Bench_circuit.t) output =
+    guard @@ fun () ->
+    check_outputs [ output ];
     let text = Verilog.to_string (c.build ()) in
     (match output with
     | None -> print_string text
@@ -983,6 +994,7 @@ let run_verilog_cmd =
       & info [ "seed" ] ~docv:"S" ~doc:"Stimulus / sampling seed.")
   in
   let run file clock cycles max_faults seed =
+    guard @@ fun () ->
     let ic = open_in file in
     let src = really_input_string ic (in_channel_length ic) in
     close_in ic;
@@ -1039,7 +1051,9 @@ let vcd_cmd =
       & info [ "cycles" ] ~docv:"N" ~doc:"Cycles of stimulus to record.")
   in
   let run (c : Circuits.Bench_circuit.t) output cycles =
+    guard @@ fun () ->
     let path = Option.value output ~default:(c.name ^ ".vcd") in
+    check_outputs [ Some path ];
     let d = c.build () in
     let g = Elaborate.build d in
     let w = c.workload d ~cycles in

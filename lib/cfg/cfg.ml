@@ -136,20 +136,6 @@ let choose d v =
       in
       scan 0
 
-(* Payload variant: labels share the scrutinee's width (design validation),
-   so payload equality is full equality. *)
-let choose_i d v =
-  match d.labels with
-  | None -> if v <> 0L then 0 else 1
-  | Some labels ->
-      let n = Array.length labels in
-      let rec scan i =
-        if i >= n then n
-        else if Int64.equal (Bits.to_int64 labels.(i)) v then i
-        else scan (i + 1)
-      in
-      scan 0
-
 let statement_count t =
   Array.fold_left
     (fun acc n ->

@@ -48,10 +48,5 @@ val build : Stmt.t -> t
 (** [choose d v] is the target index selected by value [v] at decision [d]. *)
 val choose : decision -> Bits.t -> int
 
-(** Payload variant of {!choose}: case labels share the scrutinee's width
-    (enforced by design validation), so payload equality is full
-    equality. *)
-val choose_i : decision -> int64 -> int
-
 (** Total simple statements across all segments (sanity measure). *)
 val statement_count : t -> int

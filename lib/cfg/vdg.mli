@@ -54,7 +54,12 @@ val dependency_node_count : t -> int
 
     Returns [true] (redundant: skip the faulty execution) only if the faulty
     execution provably follows the same path and reads only fault-invisible
-    data, hence writes exactly the good values. *)
+    data, hence writes exactly the good values.
+
+    This is the reference walk over boxed values. The concurrent engine
+    runs the same traversal allocation-free over the compiled selectors and
+    memory sites of {!Sim.Compile.ti}, with the blocking-written set as a
+    stamp array over signal ids ({!Engine.Concurrent}). *)
 val redundant :
   t ->
   good_choice:(int -> int) ->
@@ -62,16 +67,4 @@ val redundant :
   eval_fault:(Expr.t -> Bits.t) ->
   visible:(int -> bool) ->
   mem_word_visible:(int -> Bits.t -> bool) ->
-  bool
-
-(** Payload twin of {!redundant}: expression values are masked int64
-    payloads (the flat representation), label matching via
-    {!Cfg.choose_i}. Traversal and verdicts are identical. *)
-val redundant_i :
-  t ->
-  good_choice:(int -> int) ->
-  eval_good:(Expr.t -> int64) ->
-  eval_fault:(Expr.t -> int64) ->
-  visible:(int -> bool) ->
-  mem_word_visible:(int -> int64 -> bool) ->
   bool

@@ -141,9 +141,6 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let tracing = Obs.Trace.on () in
   let metrics_on = Obs.Metrics.on () in
   let run_t0 = Obs.Trace.span_begin "fault_sim_run" in
-  let sig_width i = d.Design.signals.(i).Design.width in
-  let mem_width m = d.Design.mems.(m).Design.data_width in
-  let mem_size m = d.mems.(m).size in
   (* ---- good state: flat int64 arrays, shared representation with the
      serial simulator's flat backend ---- *)
   let st = State.create d in
@@ -494,57 +491,102 @@ let run_gmode ?(config = default_config) ?probe ?goodtrace ~capture_into
   let vdg_count = ref 0 in
   let vdg_sum = ref 0.0 in
   let vdg_max = ref 0.0 in
+  (* ---- Algorithm 1: the VDG redundancy walk ----
+     One traversal for every body (see {!Flow.Vdg} for the refinement over
+     the paper's pseudocode). The walk follows the good execution's
+     recorded path and tracks the signals blocking-written earlier on it:
+     [wstamp.(s) = !wgen] marks [s] as written in the current walk, so
+     starting a walk clears the set in O(1). A locally-written read is
+     skipped at dependency nodes (both executions recompute it from
+     already-checked-equal inputs); a selector that reads one cannot be
+     re-evaluated against pre-execution state and falls back to a
+     visibility check of its external reads and memory sites; a memory
+     site whose address reads one is conservatively not clean. Memory
+     dependencies are checked per word: the site's address is recomputed
+     under the good values, equal to the fault's since the address's
+     reads were already checked invisible. Edge-triggered bodies have no
+     blocking writes, so their walk never leaves the re-evaluation path.
+     The walk state lives here, so a walk allocates nothing. *)
+  let wstamp = Array.make nsig 0 in
+  let wgen = ref 0 in
+  let any_written = ref false in
+  let written s = !any_written && wstamp.(s) = !wgen in
+  (* Loops, not [Array.exists]: its local loop closure would allocate on
+     every check. *)
+  let reads_written reads =
+    !any_written
+    &&
+    let hit = ref false and i = ref 0 in
+    while (not !hit) && !i < Array.length reads do
+      hit := written reads.(!i);
+      incr i
+    done;
+    !hit
+  in
+  (* some read not written earlier on the path differs under fault [f] *)
+  let external_visible f reads =
+    let hit = ref false and i = ref 0 in
+    while (not !hit) && !i < Array.length reads do
+      let r = reads.(!i) in
+      hit := (not (written r)) && visible f r;
+      incr i
+    done;
+    !hit
+  in
+  let sites_clean f (sites : Compile.site_i array) =
+    let clean = ref true and i = ref 0 in
+    while !clean && !i < Array.length sites do
+      let site = sites.(!i) in
+      if
+        reads_written site.site_reads
+        ||
+        if config.exact_mem_check then
+          mem_word_diff f site.site_mem
+            (Eval.wrap_address_i (site.site_addr good_reader) site.site_size)
+        else mem_visible f site.site_mem
+      then clean := false;
+      incr i
+    done;
+    !clean
+  in
+  let rec walk (cp : Compile.ti) rec_arr f cur =
+    incr walk_steps;
+    match cp.Compile.icfg.nodes.(cur) with
+    | Cfg.Exit -> true
+    | Cfg.Decision dec ->
+        let gc = rec_arr.(cur) in
+        (if reads_written dec.sel_reads then
+           (not (external_visible f dec.sel_reads))
+           && sites_clean f cp.Compile.isites.(cur)
+         else
+           (* re-evaluate the selector under the fault overlay, memory
+              reads included: a changed word that does not flip the branch
+              stays redundant *)
+           Compile.fault_choice_i cp cur fault_reader = gc)
+        && walk cp rec_arr f dec.targets.(gc)
+    | Cfg.Segment s ->
+        let vdg = cp.Compile.ivdg in
+        if not vdg.Vdg.interesting.(cur) then
+          walk cp rec_arr f vdg.Vdg.next.(cur)
+        else if
+          external_visible f s.reads
+          || not (sites_clean f cp.Compile.isites.(cur))
+        then false
+        else begin
+          let blocking = s.blocking in
+          for i = 0 to Array.length blocking - 1 do
+            wstamp.(blocking.(i)) <- !wgen;
+            any_written := true
+          done;
+          walk cp rec_arr f vdg.Vdg.next.(cur)
+        end
+  in
   let walk_redundant (cp : Compile.ti) rec_arr =
-    (* fast path: no blocking writes in the body, so every read is external
-       and selectors can be re-evaluated against pre-execution state.
-       Memory dependencies are checked per word: the site's address is
-       recomputed under the good values (equal to the fault's, since the
-       address's signal reads were already checked invisible). Selector
-       memory reads need no pre-check — the selector itself is re-evaluated
-       under the fault overlay. *)
-    let f = !cur_fault in
-    let nodes = cp.Compile.icfg.nodes in
-    let vdg = cp.Compile.ivdg in
-    let site_clean (m, size, caddr) =
-      if config.exact_mem_check then
-        not (mem_word_diff f m (Eval.wrap_address_i (caddr good_reader) size))
-      else not (mem_visible f m)
-    in
-    let rec walk cur =
-      incr walk_steps;
-      match nodes.(cur) with
-      | Cfg.Exit -> true
-      | Cfg.Decision dec ->
-          let gc = rec_arr.(cur) in
-          if Compile.fault_choice_i cp cur fault_reader <> gc then false
-          else walk dec.targets.(gc)
-      | Cfg.Segment s ->
-          if not vdg.Vdg.interesting.(cur) then walk vdg.Vdg.next.(cur)
-          else if
-            Array.exists (visible f) s.reads
-            || not (Array.for_all site_clean cp.Compile.iseg_sites.(cur))
-          then false
-          else walk vdg.Vdg.next.(cur)
-    in
     let t0 = if tracing then Obs.Trace.span_begin "vdg_walk" else 0 in
     walk_steps := 0;
-    let res =
-      if cp.Compile.ihas_blocking then
-        Vdg.redundant_i vdg
-          ~good_choice:(fun id ->
-            incr walk_steps;
-            rec_arr.(id))
-          ~eval_good:(fun e ->
-            Eval.eval_i ~sig_width ~mem_width ~mem_size good_reader e)
-          ~eval_fault:(fun e ->
-            Eval.eval_i ~sig_width ~mem_width ~mem_size fault_reader e)
-          ~visible:(visible f)
-          ~mem_word_visible:(fun m addr ->
-            if config.exact_mem_check then
-              mem_word_diff f m (Eval.wrap_address_i addr d.mems.(m).size)
-            else mem_visible f m)
-      else walk cp.Compile.icfg.entry
-    in
+    incr wgen;
+    any_written := false;
+    let res = walk cp rec_arr !cur_fault cp.Compile.icfg.entry in
     if tracing then Obs.Trace.span_end "vdg_walk" t0;
     if metrics_on then begin
       let depth = float_of_int !walk_steps in

@@ -44,20 +44,23 @@ let capacity t = Array.length t.keys
 let length t = t.count
 let is_empty t = t.count = 0
 
-(* Slot holding [key], or -1 when absent. *)
-let find_slot t key =
+(* Slot holding [key], or -1 when absent. A loop rather than a recursive
+   local probe: a function that defines a local closure is never inlined,
+   and [find] is on the engine's per-fault hot path, where an out-of-line
+   call boxes its int64 result. *)
+let[@inline] find_slot t key =
   let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i
-    else if k = empty_slot then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (hash key land mask)
+  let i = ref (hash key land mask) in
+  let k = ref (Array.unsafe_get keys !i) in
+  while !k <> key && !k <> empty_slot do
+    i := (!i + 1) land mask;
+    k := Array.unsafe_get keys !i
+  done;
+  if !k = key then !i else -1
 
-let mem t key = find_slot t key >= 0
+let[@inline] mem t key = find_slot t key >= 0
 
-let find t key ~default =
+let[@inline] find t key ~default =
   let i = find_slot t key in
   if i >= 0 then Bigarray.Array1.unsafe_get t.vals i else default
 

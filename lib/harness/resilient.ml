@@ -21,6 +21,7 @@ type campaign_error =
     }
   | Journal_corrupt of string
   | Bad_workload of string
+  | Host_io of string
 
 exception Campaign_error of campaign_error
 
@@ -38,12 +39,39 @@ let error_message = function
         batch (Array.length ids) cycle reason
   | Journal_corrupt msg -> "corrupt journal: " ^ msg
   | Bad_workload msg -> "bad workload: " ^ msg
+  | Host_io msg -> "I/O error: " ^ msg
 
 let exit_code = function
   | Engine_divergence _ -> 3
   | Batch_timeout _ -> 4
   | Journal_corrupt _ -> 5
   | Bad_workload _ -> 6
+  | Host_io _ -> 9
+
+(* ---- host file checks ---- *)
+
+let io_error fmt = Printf.ksprintf (fun msg -> err (Host_io msg)) fmt
+
+let check_writable_dir ~what dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    io_error "%s: %s is not an existing directory" what dir;
+  try Unix.access dir [ Unix.W_OK; Unix.X_OK ]
+  with Unix.Unix_error (e, _, _) ->
+    io_error "%s: directory %s: %s" what dir (Unix.error_message e)
+
+let check_output_path path =
+  check_writable_dir ~what:path (Filename.dirname path)
+
+(* The repro directory is created (one level, like [mkdir]) before any
+   batch runs, so an unusable path fails the campaign up front instead of
+   failing every shrink inside a batch. *)
+let prepare_repro_dir dir =
+  if not (Sys.file_exists dir) then (
+    try Unix.mkdir dir 0o755
+    with Unix.Unix_error (e, _, _) ->
+      io_error "cannot create repro directory %s: %s" dir
+        (Unix.error_message e));
+  check_writable_dir ~what:"repro directory" dir
 
 (* ---- configuration ---- *)
 
@@ -528,6 +556,8 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
     err
       (Bad_workload
          (Printf.sprintf "negative cycle count %d" w.Workload.cycles));
+  Option.iter check_output_path config.journal;
+  Option.iter prepare_repro_dir config.repro_dir;
   (* Resume adopts the journal's own regime: warm and cold campaigns use
      different batch decompositions (planner-ordered vs contiguous), so
      the journal records a ["warmstart"] header field and a resume must
@@ -967,8 +997,6 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
          with
         | None -> None
         | Some o ->
-            if not (Sys.file_exists dir) then (
-              try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
             let file = Printf.sprintf "repro-%d.json" o.Shrink.sh_fault in
             let json =
               Shrink.repro_to_json ~design:design_name
@@ -980,9 +1008,13 @@ let run ?(config = default_config) (g : Rtlir.Elaborate.t) (w : Workload.t)
                      faults.(o.Shrink.sh_fault))
                 o
             in
-            write_atomic (Filename.concat dir file) (fun oc ->
-                output_string oc (Jsonl.to_string json);
-                output_char oc '\n');
+            (* a host I/O failure is not a batch crash: supervision must
+               not retry or abandon the batch over it *)
+            (try
+               write_atomic (Filename.concat dir file) (fun oc ->
+                   output_string oc (Jsonl.to_string json);
+                   output_char oc '\n')
+             with Sys_error msg -> io_error "writing a reproducer: %s" msg);
             Some file)
   in
   let run_one_batch ~worker ~events b_index ids =

@@ -48,7 +48,9 @@
       divergence is delta-debugged ({!Shrink}) to a minimal co-batched
       fault set and cycle window, and a standalone [repro-<fault>.json]
       file is written (atomically) into [dir] for [eraser repro] to
-      replay. *)
+      replay. [dir] is created before the first batch if missing; an
+      unusable [dir], or a failed reproducer write, raises
+      {!Campaign_error} [Host_io] rather than crashing the batch. *)
 
 open Faultsim
 
@@ -78,6 +80,10 @@ type campaign_error =
           journal recorded under different campaign parameters *)
   | Bad_workload of string
       (** structurally invalid workload or runner configuration *)
+  | Host_io of string
+      (** a file or directory the run reads or writes is missing, not a
+          directory, or not writable: the journal's or an output file's
+          directory, the repro directory, a reproducer write *)
 
 exception Campaign_error of campaign_error
 
@@ -85,9 +91,14 @@ exception Campaign_error of campaign_error
 val error_message : campaign_error -> string
 
 (** Distinct process exit code per variant: divergence 3, timeout 4,
-    corrupt journal 5, bad workload 6 (0 is success, 1/2 are generic CLI
-    failures). *)
+    corrupt journal 5, bad workload 6, host I/O 9 (0 is success, 1/2 are
+    generic CLI failures). *)
 val exit_code : campaign_error -> int
+
+(** [check_output_path path] raises {!Campaign_error} [Host_io] unless
+    [path]'s directory exists and is writable — checked before a run, so
+    a mistyped output path costs no simulation. *)
+val check_output_path : string -> unit
 
 type config = {
   engine : Campaign.engine;

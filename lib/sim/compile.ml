@@ -150,8 +150,6 @@ type t = {
   segments : (Access.reader -> Access.writer -> unit) array array;
   selectors : compiled_expr array;
   choosers : (Bits.t -> int) array;
-  seg_sites : (int * int * compiled_expr) array array;
-  has_blocking : bool;
 }
 
 let chooser (d : Cfg.decision) : Bits.t -> int =
@@ -185,33 +183,18 @@ let proc ~mem_size body =
   let segments = Array.make n [||] in
   let selectors = Array.make n (fun _ -> Bits.of_bool false) in
   let choosers = Array.make n (fun _ -> 0) in
-  let seg_sites = Array.make n [||] in
-  let has_blocking = ref false in
   Array.iteri
     (fun i node ->
       match node with
       | Cfg.Segment s ->
-          if Array.length s.blocking > 0 then has_blocking := true;
           segments.(i) <-
-            Array.of_list (List.map (simple_stmt ~mem_size) s.stmts);
-          seg_sites.(i) <-
-            Array.map
-              (fun (m, addr_e) -> (m, mem_size m, expr ~mem_size addr_e))
-              s.mem_sites
+            Array.of_list (List.map (simple_stmt ~mem_size) s.stmts)
       | Cfg.Decision d ->
           selectors.(i) <- expr ~mem_size d.selector;
           choosers.(i) <- chooser d
       | Cfg.Exit -> ())
     cfg.nodes;
-  {
-    cfg;
-    vdg;
-    segments;
-    selectors;
-    choosers;
-    seg_sites;
-    has_blocking = !has_blocking;
-  }
+  { cfg; vdg; segments; selectors; choosers }
 
 let exec t ?record reader writer =
   let nodes = t.cfg.nodes in
@@ -254,14 +237,20 @@ let simple_stmt_i ~sig_width ~mem_width ~mem_size =
   | Stmt.Block _ | Stmt.If _ | Stmt.Case _ ->
       invalid_arg "Compile.simple_stmt_i: control statement in a segment"
 
+type site_i = {
+  site_mem : int;
+  site_size : int;
+  site_addr : compiled_expr_i;
+  site_reads : int array;
+}
+
 type ti = {
   icfg : Cfg.t;
   ivdg : Vdg.t;
   isegments : (Access.ireader -> Access.iwriter -> unit) array array;
   iselectors : compiled_expr_i array;
   ichoosers : (int64 -> int) array;
-  iseg_sites : (int * int * compiled_expr_i) array array;
-  ihas_blocking : bool;
+  isites : site_i array array;
 }
 
 (* Case labels share the scrutinee's width (design-validated), so payload
@@ -300,35 +289,32 @@ let proc_i ~sig_width ~mem_width ~mem_size body =
   let isegments = Array.make n [||] in
   let iselectors = Array.make n (fun _ -> 0L) in
   let ichoosers = Array.make n (fun _ -> 0) in
-  let iseg_sites = Array.make n [||] in
-  let has_blocking = ref false in
+  let isites = Array.make n [||] in
+  let sites =
+    Array.map (fun (m, addr_e) ->
+        {
+          site_mem = m;
+          site_size = mem_size m;
+          site_addr = expr_i addr_e;
+          site_reads = Array.of_list (Expr.read_signals addr_e);
+        })
+  in
   Array.iteri
     (fun i node ->
       match node with
       | Cfg.Segment s ->
-          if Array.length s.blocking > 0 then has_blocking := true;
           isegments.(i) <-
             Array.of_list
               (List.map (simple_stmt_i ~sig_width ~mem_width ~mem_size)
                  s.stmts);
-          iseg_sites.(i) <-
-            Array.map
-              (fun (m, addr_e) -> (m, mem_size m, expr_i addr_e))
-              s.mem_sites
+          isites.(i) <- sites s.mem_sites
       | Cfg.Decision d ->
           iselectors.(i) <- expr_i d.selector;
-          ichoosers.(i) <- chooser_i d
+          ichoosers.(i) <- chooser_i d;
+          isites.(i) <- sites d.sel_mem_sites
       | Cfg.Exit -> ())
     cfg.nodes;
-  {
-    icfg = cfg;
-    ivdg = vdg;
-    isegments;
-    iselectors;
-    ichoosers;
-    iseg_sites;
-    ihas_blocking = !has_blocking;
-  }
+  { icfg = cfg; ivdg = vdg; isegments; iselectors; ichoosers; isites }
 
 let exec_i t ?record reader writer =
   let nodes = t.icfg.nodes in

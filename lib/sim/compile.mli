@@ -23,13 +23,6 @@ type t = {
       (** per CFG node id: compiled simple statements (segments only) *)
   selectors : compiled_expr array;  (** per CFG node id (decisions only) *)
   choosers : (Bits.t -> int) array;  (** per CFG node id (decisions only) *)
-  seg_sites : (int * int * compiled_expr) array array;
-      (** per CFG node id (segments only): memory-read sites as (memory,
-          word count, compiled address) — evaluated under the {e good}
-          reader by the redundancy walk *)
-  has_blocking : bool;
-      (** body contains blocking writes: the redundancy walk must track the
-          locally-written set *)
 }
 
 (** Compile a behavioral body. *)
@@ -58,6 +51,15 @@ val expr_i :
   Expr.t ->
   compiled_expr_i
 
+(** A memory-read site, compiled for the redundancy walk. *)
+type site_i = {
+  site_mem : int;
+  site_size : int;  (** the memory's word count *)
+  site_addr : compiled_expr_i;
+      (** the address, evaluated under the {e good} reader by the walk *)
+  site_reads : int array;  (** signals the address expression reads *)
+}
+
 type ti = {
   icfg : Cfg.t;
   ivdg : Vdg.t;
@@ -66,8 +68,9 @@ type ti = {
   ichoosers : (int64 -> int) array;
       (** label matching is payload equality: case labels share the
           scrutinee's width by design validation *)
-  iseg_sites : (int * int * compiled_expr_i) array array;
-  ihas_blocking : bool;
+  isites : site_i array array;
+      (** per CFG node id: a segment's memory-read sites, or a decision's
+          selector memory-read sites *)
 }
 
 val proc_i :

@@ -221,6 +221,32 @@ let test_shrinker_writes_repro () =
   (try Sys.rmdir dir with Sys_error _ -> ());
   check Alcotest.string "repro byte-identical across jobs" line line1
 
+(* An unusable repro directory is a host I/O error raised before any batch
+   runs, never a batch crash that supervision retries and then abandons
+   (which silently cost the campaign coverage). *)
+let test_unusable_repro_dir () =
+  let _, g, w, faults = campaign () in
+  let file = Filename.temp_file "eraser_test_repro" "" in
+  List.iter
+    (fun (jobs, dir) ->
+      let cfg =
+        {
+          (supervised_config ~jobs ~journal:None) with
+          R.inject_divergence = Some 3;
+          repro_dir = Some dir;
+        }
+      in
+      match R.run ~config:cfg g w faults with
+      | _ -> Alcotest.failf "repro dir %s accepted" dir
+      | exception R.Campaign_error (R.Host_io _) -> ())
+    [
+      (1, Filename.concat file "r");
+      (2, Filename.concat file "r");
+      (1, file);
+      (1, "/nonexistent/r");
+    ];
+  Sys.remove file
+
 (* ---- disabled seams are free ---- *)
 
 let test_disabled_seams_no_alloc () =
@@ -263,6 +289,8 @@ let suite =
       test_retry_records_resume;
     Alcotest.test_case "shrinker writes a minimal repro" `Quick
       test_shrinker_writes_repro;
+    Alcotest.test_case "unusable repro dir is a typed I/O error" `Quick
+      test_unusable_repro_dir;
     Alcotest.test_case "disabled seams allocate nothing" `Quick
       test_disabled_seams_no_alloc;
   ]
